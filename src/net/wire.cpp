@@ -1,7 +1,9 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -447,14 +449,12 @@ bool encode_frame(const sim::Payload& payload, util::Bytes& out) {
 
 namespace {
 
-/// Serializes `payload` as tag + body (no length prefix) into `w`; false if
-/// the payload type has no wire form. The single definition both the
-/// contiguous and the shared-frame encoders go through.
-bool encode_tag_and_body(const sim::Payload& payload, ByteWriter& w) {
-  const auto type = type_of(payload);
-  if (!type) return false;
-  w.u8(static_cast<std::uint8_t>(*type));
-  switch (*type) {
+/// Serializes `payload`, whose wire type is `type` (type_of), as tag + body
+/// (no length prefix) into `w`. The single definition both the contiguous
+/// and the shared-frame encoders go through.
+void encode_tag_and_body(const sim::Payload& payload, MsgType type, ByteWriter& w) {
+  w.u8(static_cast<std::uint8_t>(type));
+  switch (type) {
     case MsgType::kClientRequest:
       encode_body(w, static_cast<const proto::ClientRequestMsg&>(payload));
       break;
@@ -508,9 +508,8 @@ bool encode_tag_and_body(const sim::Payload& payload, ByteWriter& w) {
       break;
     case MsgType::kHello:
     case MsgType::kShardFrame:
-      return false;  // unreachable: neither is a Payload encoding
+      break;  // unreachable: type_of never yields either
   }
-  return true;
 }
 
 /// Fills a SharedFrame's inline header for a body of `body_size` bytes
@@ -536,33 +535,36 @@ void fill_shared_header(SharedFrame& frame, std::size_t body_size, std::uint32_t
 }  // namespace
 
 bool encode_frame(const sim::Payload& payload, std::uint32_t instance, util::Bytes& out) {
-  ByteWriter w(payload.wire_size() + 8);
-  if (!encode_tag_and_body(payload, w)) return false;
+  const auto type = type_of(payload);
+  if (!type) return false;
 
-  const auto& frame = w.bytes();
-  ByteWriter header(kFrameHeaderBytes);
-  if (instance == 0) {
-    // Bare frame: byte-identical to the pre-shard wire format.
-    header.u32(static_cast<std::uint32_t>(frame.size()));
-    out.insert(out.end(), header.bytes().begin(), header.bytes().end());
-    out.insert(out.end(), frame.begin(), frame.end());
-    return true;
+  // Tag and body go straight into `out` behind a placeholder length, which
+  // is patched once the body size is known: one pass, no staging buffer.
+  const std::size_t start = out.size();
+  // Room for the largest header plus tag + body (wire_size() and the same
+  // slack encode_shared_frame reserves).
+  const std::size_t need = start + SharedFrame::kMaxHeaderBytes + payload.wire_size() + 8;
+  if (out.capacity() < need) out.reserve(std::max(need, 2 * out.capacity()));
+  ByteWriter w(std::move(out));
+  w.u32(0);
+  if (instance != 0) {
+    // kShardFrame envelope: u32 len | u8 kShardFrame | u32 instance | inner.
+    // Instance 0 stays the bare, pre-shard frame.
+    w.u8(static_cast<std::uint8_t>(MsgType::kShardFrame));
+    w.u32(instance);
   }
-  // kShardFrame envelope: u32 len | u8 kShardFrame | u32 instance | inner.
-  header.u32(static_cast<std::uint32_t>(frame.size() + 5));
-  ByteWriter envelope(5);
-  envelope.u8(static_cast<std::uint8_t>(MsgType::kShardFrame));
-  envelope.u32(instance);
-  out.insert(out.end(), header.bytes().begin(), header.bytes().end());
-  out.insert(out.end(), envelope.bytes().begin(), envelope.bytes().end());
-  out.insert(out.end(), frame.begin(), frame.end());
+  encode_tag_and_body(payload, *type, w);
+  w.patch_u32(start, static_cast<std::uint32_t>(w.size() - start - kFrameHeaderBytes));
+  out = w.take();
   return true;
 }
 
 bool encode_shared_frame(const sim::Payload& payload, std::uint32_t instance,
                          SharedFrame& out) {
+  const auto type = type_of(payload);
+  if (!type) return false;
   ByteWriter w(payload.wire_size() + 8);
-  if (!encode_tag_and_body(payload, w)) return false;
+  encode_tag_and_body(payload, *type, w);
   out.body = std::make_shared<const util::Bytes>(w.take());
   fill_shared_header(out, out.body->size(), instance);
   return true;

@@ -89,7 +89,8 @@ bool encode_frame(const sim::Payload& payload, util::Bytes& out);
 
 /// As above, addressed to a protocol instance: instance 0 emits the bare
 /// (pre-shard, byte-compatible) frame; any other instance wraps the frame in
-/// a kShardFrame envelope carrying the instance id.
+/// a kShardFrame envelope carrying the instance id. Encodes in place, in
+/// one pass: a cleared, reused `out` serializes with no allocation.
 bool encode_frame(const sim::Payload& payload, std::uint32_t instance, util::Bytes& out);
 
 /// Convenience: a freshly allocated frame for `payload`.

@@ -302,23 +302,19 @@ bool ReplicaStore::append(std::uint64_t seq, std::uint32_t ordinal,
                           std::string* err) {
   util::expects(is_open(), "ReplicaStore::append before open");
   const auto append_t0 = obs::mono_now_ns();
-  WalEntry entry;
+  WalEntryHead entry;
   entry.index = entries();
   entry.seq = seq;
   entry.ordinal = ordinal;
   entry.requests = requests;
   entry.block_digest = block_digest;
   entry.post_digest = fold_exec_digest(exec_digest_, block_digest);
-  entry.frame.assign(frame.begin(), frame.end());
-
-  util::ByteWriter w(frame.size() + 128);
-  encode_entry(w, entry);
-  const auto record = frame_record(w.bytes());
+  encode_entry_record(entry, frame, record_);
 
   std::size_t written = 0;
-  while (written < record.size()) {
+  while (written < record_.size()) {
     const auto n = io().append(
-        fd_, std::span<const std::uint8_t>(record).subspan(written));
+        fd_, std::span<const std::uint8_t>(record_).subspan(written));
     if (n <= 0) {
       // Short-then-failed write (ENOSPC, I/O error): roll the file back to
       // the last good record boundary so the log never ends mid-record.
@@ -331,8 +327,8 @@ bool ReplicaStore::append(std::uint64_t seq, std::uint32_t ordinal,
   }
 
   entry_spans_.push_back(
-      {wal_size_, static_cast<std::uint32_t>(record.size() - kRecordHeaderBytes)});
-  wal_size_ += record.size();
+      {wal_size_, static_cast<std::uint32_t>(record_.size() - kRecordHeaderBytes)});
+  wal_size_ += record_.size();
   exec_digest_ = entry.post_digest;
   executed_requests_ += requests;
   tail_seq_ = seq;

@@ -168,6 +168,7 @@ class ReplicaStore {
   std::uint64_t tail_seq_ = 0;
   std::uint32_t tail_ordinal_ = 0;
   bool dirty_ = false;  // unsynced appends outstanding
+  util::Bytes record_;  // append()'s record buffer, reused: keeps its capacity
   sim::SimTime last_fsync_ = 0;
   Stats stats_;
 };

@@ -1,6 +1,7 @@
 #include "store/wal_record.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "store/crc32c.hpp"
 #include "util/check.hpp"
@@ -16,16 +17,39 @@ crypto::Digest read_digest(util::ByteReader& r) {
   return crypto::Digest(bytes);
 }
 
+/// Bytes encode_entry writes ahead of the frame: the head plus the frame's
+/// u32 blob length.
+constexpr std::size_t kEntryHeadBytes = 8 + 8 + 4 + 8 + 2 * crypto::Digest::kSize + 4;
+
+void encode_entry_parts(util::ByteWriter& w, const WalEntryHead& head,
+                        std::span<const std::uint8_t> frame) {
+  w.u64(head.index);
+  w.u64(head.seq);
+  w.u32(head.ordinal);
+  w.u64(head.requests);
+  w.raw(head.block_digest.bytes());
+  w.raw(head.post_digest.bytes());
+  w.blob(frame);
+}
+
 }  // namespace
 
 void encode_entry(util::ByteWriter& w, const WalEntry& entry) {
-  w.u64(entry.index);
-  w.u64(entry.seq);
-  w.u32(entry.ordinal);
-  w.u64(entry.requests);
-  w.raw(entry.block_digest.bytes());
-  w.raw(entry.post_digest.bytes());
-  w.blob(entry.frame);
+  encode_entry_parts(w, entry, entry.frame);
+}
+
+void encode_entry_record(const WalEntryHead& head, std::span<const std::uint8_t> frame,
+                         util::Bytes& out) {
+  const std::size_t payload = kEntryHeadBytes + frame.size();
+  util::expects(payload <= kMaxRecordPayloadBytes, "record payload too large");
+  out.clear();
+  out.reserve(kRecordHeaderBytes + payload);
+  util::ByteWriter w(std::move(out));
+  w.u32(static_cast<std::uint32_t>(payload));
+  w.u32(0);  // CRC32C, patched once the payload is in place
+  encode_entry_parts(w, head, frame);
+  w.patch_u32(4, crc32c(std::span<const std::uint8_t>(w.bytes()).subspan(kRecordHeaderBytes)));
+  out = w.take();
 }
 
 std::optional<WalEntry> decode_entry(util::ByteReader& r) {

@@ -44,14 +44,14 @@ inline constexpr std::size_t kRecordHeaderBytes = 8;
 /// metadata headroom. A length beyond this is corruption, not a huge record.
 inline constexpr std::size_t kMaxRecordPayloadBytes = (64u << 20) + 4096;
 
-struct WalEntry {
+/// Every field of a WAL entry but its frame.
+struct WalEntryHead {
   std::uint64_t index = 0;
   std::uint64_t seq = 0;
   std::uint32_t ordinal = 0;
   std::uint64_t requests = 0;
   crypto::Digest block_digest;
   crypto::Digest post_digest;
-  util::Bytes frame;
 
   /// (seq, ordinal) — strictly increasing along the global Execute stream.
   [[nodiscard]] std::pair<std::uint64_t, std::uint32_t> coord() const {
@@ -59,7 +59,19 @@ struct WalEntry {
   }
 };
 
+struct WalEntry : WalEntryHead {
+  util::Bytes frame;
+};
+
 void encode_entry(util::ByteWriter& w, const WalEntry& entry);
+
+/// Replaces `out`'s contents (keeping its capacity) with the complete record
+/// of the entry `head` + `frame`, built in place with one copy of the frame.
+/// Byte-identical to frame_record() over encode_entry() of that entry.
+/// Throws ContractViolation, leaving `out` untouched, if the payload would
+/// exceed kMaxRecordPayloadBytes.
+void encode_entry_record(const WalEntryHead& head, std::span<const std::uint8_t> frame,
+                         util::Bytes& out);
 
 /// Decodes one entry from `r`; nullopt if malformed (underflow or trailing
 /// inconsistency is the caller's concern — entries are self-delimiting).

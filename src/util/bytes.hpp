@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -24,6 +25,9 @@ class ByteWriter {
  public:
   ByteWriter() = default;
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
+  /// Appends after `buf`'s contents, in its storage: hand a reused buffer in
+  /// by move and take() it back to encode without a fresh allocation.
+  explicit ByteWriter(Bytes&& buf) : buf_(std::move(buf)) {}
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { append_le(v); }
@@ -45,6 +49,15 @@ class ByteWriter {
 
   void str(std::string_view s) {
     blob({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+
+  /// Overwrites the u32 already written at byte `at` (a length or checksum
+  /// field reserved before the bytes it describes were known).
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    expects(at + sizeof(v) <= buf_.size(), "patch_u32 out of range");
+    for (std::size_t i = 0; i < sizeof(v); ++i) {
+      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
   }
 
   [[nodiscard]] const Bytes& bytes() const { return buf_; }

@@ -1,4 +1,6 @@
-// Persistence layer: WAL append/recovery round trips, a crash-point sweep
+// Persistence layer: CRC32C known answers and hardware-vs-portable kernel
+// agreement, byte identity of the in-place record builder, WAL
+// append/recovery round trips, a crash-point sweep
 // truncating the log at every byte offset, corruption vs torn-tail handling,
 // fault injection through the StoreIo seam (short writes, ENOSPC, fsync and
 // rename failures), snapshot generations + GC, and replay determinism
@@ -16,11 +18,13 @@
 #include <vector>
 
 #include "proto/messages.hpp"
+#include "store/crc32c.hpp"
 #include "store/replica_store.hpp"
 #include "store/state_sync.hpp"
 #include "store/store_io.hpp"
 #include "store/wal_record.hpp"
 #include "util/bytes.hpp"
+#include "util/check.hpp"
 
 using namespace leopard;
 using store::FsyncPolicy;
@@ -157,6 +161,104 @@ StoreOptions options(const std::string& dir, store::StoreIo* io = nullptr) {
 
 }  // namespace
 
+TEST(Crc32c, KnownAnswerVectors) {
+  // "123456789" is the standard CRC check input; the 32-byte vectors are
+  // RFC 3720 (iSCSI) appendix B.4.
+  const auto check = util::as_bytes("123456789");
+  const util::Bytes zeros(32, 0x00);
+  const util::Bytes ones(32, 0xFF);
+  util::Bytes up(32);
+  util::Bytes down(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    up[i] = static_cast<std::uint8_t>(i);
+    down[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  const std::vector<std::pair<std::span<const std::uint8_t>, std::uint32_t>> vectors = {
+      {check, 0xE3069283u}, {zeros, 0x8A9136AAu}, {ones, 0x62A8AB43u},
+      {up, 0x46DD794Eu},    {down, 0x113FDB5Cu},  {{}, 0x00000000u},
+  };
+  for (const auto& [data, want] : vectors) {
+    EXPECT_EQ(store::crc32c(data), want) << "len=" << data.size();
+    EXPECT_EQ(store::detail::crc32c_portable(data), want) << "len=" << data.size();
+  }
+}
+
+TEST(Crc32c, DispatchedKernelMatchesPortableAtEveryLengthAndAlignment) {
+  // On an SSE4.2 CPU crc32c() runs the hardware kernel: hold it against the
+  // slice-by-8 oracle across its 8-byte main loop and byte tail, at every
+  // start misalignment, from a zero and from a chained seed.
+  util::Bytes buf(1100 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t misalign = 0; misalign < 8; ++misalign) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + misalign, len);
+      ASSERT_EQ(store::crc32c(data), store::detail::crc32c_portable(data))
+          << "misalign=" << misalign << " len=" << len;
+      ASSERT_EQ(store::crc32c(data, 0xA5A5A5A5u),
+                store::detail::crc32c_portable(data, 0xA5A5A5A5u))
+          << "seeded, misalign=" << misalign << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32c, ChainedSeedEqualsOneShot) {
+  util::Bytes buf(777);
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  const std::span<const std::uint8_t> all(buf);
+  const auto whole = store::crc32c(all);
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+                                std::size_t{333}, std::size_t{776}, std::size_t{777}}) {
+    EXPECT_EQ(store::crc32c(all.subspan(cut), store::crc32c(all.first(cut))), whole)
+        << "cut=" << cut;
+    EXPECT_EQ(store::detail::crc32c_portable(
+                  all.subspan(cut), store::detail::crc32c_portable(all.first(cut))),
+              whole)
+        << "portable, cut=" << cut;
+  }
+  // Three pieces chain the same way.
+  const auto a = store::crc32c(all.first(100));
+  const auto ab = store::crc32c(all.subspan(100, 250), a);
+  EXPECT_EQ(store::crc32c(all.subspan(350), ab), whole);
+}
+
+TEST(WalRecord, InPlaceRecordIsByteIdenticalToFrameRecordOfEncodeEntry) {
+  store::WalEntry entry;
+  entry.index = 41;
+  entry.seq = 17;
+  entry.ordinal = 3;
+  entry.requests = 100;
+  entry.block_digest = digest_of(0x5A);
+  entry.post_digest = digest_of(0xC3);
+  // A stale, larger record in the reused buffer must not leak into the next.
+  util::Bytes out(300000, 0xEE);
+  for (const std::size_t size : {std::size_t{200000}, std::size_t{0}, std::size_t{1},
+                                 std::size_t{4099}}) {
+    entry.frame = frame_of(static_cast<std::uint8_t>(size), size);
+    util::ByteWriter w;
+    store::encode_entry(w, entry);
+    const auto expected = store::frame_record(w.bytes());
+    store::encode_entry_record(entry, entry.frame, out);
+    EXPECT_EQ(out, expected) << "frame size " << size;
+  }
+}
+
+TEST(WalRecord, OversizedRecordIsRefusedAndLeavesBufferUntouched) {
+  store::WalEntry head;
+  // The entry adds 96 bytes of fields ahead of the frame: one byte over.
+  const util::Bytes frame(store::kMaxRecordPayloadBytes - 96 + 1, 0x01);
+  util::Bytes out = {1, 2, 3};
+  EXPECT_THROW(store::encode_entry_record(head, frame, out), util::ContractViolation);
+  EXPECT_EQ(out, (util::Bytes{1, 2, 3}));
+  // At exactly the limit it is accepted.
+  const std::span<const std::uint8_t> at_limit(frame.data(), frame.size() - 1);
+  store::encode_entry_record(head, at_limit, out);
+  EXPECT_EQ(out.size(), store::kRecordHeaderBytes + store::kMaxRecordPayloadBytes);
+}
+
 TEST(Store, FreshStartAppendAndReopen) {
   const auto dir = temp_dir();
   crypto::Digest expect;
@@ -222,6 +324,66 @@ TEST(Store, ReplayIsDeterministicAcrossDirectories) {
   ReplicaStore store(options(dir_a));
   ASSERT_TRUE(store.open(RecoverMode::kStrict).ok());
   EXPECT_EQ(store.exec_digest(), a);
+}
+
+TEST(Store, AppendWritesFrameRecordOfEncodeEntryAndReopens) {
+  // The log append() writes is the concatenation of
+  // frame_record(encode_entry(entry)) for the entries it was given: the
+  // on-disk format is unchanged, so existing data directories recover.
+  const auto dir = temp_dir();
+  util::Bytes expected_log;
+  crypto::Digest chain;
+  const std::vector<std::size_t> sizes = {412000, 64, 0, 4096, 100000, 7};
+  {
+    ReplicaStore store(options(dir));
+    ASSERT_TRUE(store.open(RecoverMode::kStrict).ok());
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      store::WalEntry entry;
+      entry.index = i;
+      entry.seq = 10 + i;
+      entry.ordinal = static_cast<std::uint32_t>(i % 2);
+      entry.requests = 100 * i;
+      entry.block_digest = digest_of(static_cast<std::uint8_t>(0x40 + i));
+      entry.post_digest = store::fold_exec_digest(chain, entry.block_digest);
+      entry.frame = frame_of(static_cast<std::uint8_t>(i), sizes[i]);
+      ASSERT_TRUE(store.append(entry.seq, entry.ordinal, entry.block_digest, entry.requests,
+                               entry.frame, /*now=*/0));
+      util::ByteWriter w;
+      store::encode_entry(w, entry);
+      const auto record = store::frame_record(w.bytes());
+      expected_log.insert(expected_log.end(), record.begin(), record.end());
+      chain = entry.post_digest;
+    }
+    EXPECT_EQ(store.exec_digest(), chain);
+  }
+  EXPECT_EQ(read_file(dir + "/wal.log"), expected_log);
+
+  ReplicaStore reopened(options(dir));
+  const auto rec = reopened.open(RecoverMode::kStrict);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec.entries, sizes.size());
+  EXPECT_EQ(reopened.exec_digest(), chain);
+  std::vector<store::WalEntry> out;
+  ASSERT_TRUE(reopened.read_entries(0, sizes.size(), out));
+  EXPECT_EQ(out[0].frame, frame_of(0, sizes[0]));
+  EXPECT_EQ(out[5].frame, frame_of(5, sizes[5]));
+}
+
+TEST(Store, FrameAboveRecordLimitIsRefused) {
+  const auto dir = temp_dir();
+  ReplicaStore store(options(dir));
+  ASSERT_TRUE(store.open(RecoverMode::kStrict).ok());
+  const auto chain = append_entries(store, 2, 1, crypto::Digest{});
+  const auto bytes_before = store.wal_bytes();
+  const util::Bytes huge(store::kMaxRecordPayloadBytes - 96 + 1, 0x33);
+  EXPECT_THROW(store.append(9, 0, digest_of(0x99), 1, huge, /*now=*/0),
+               util::ContractViolation);
+  // Nothing was written and the state is unchanged; the store still appends.
+  EXPECT_EQ(store.entries(), 2u);
+  EXPECT_EQ(store.wal_bytes(), bytes_before);
+  EXPECT_EQ(store.exec_digest(), chain);
+  EXPECT_TRUE(store.append(9, 0, digest_of(0x99), 1, frame_of(9, 16), /*now=*/0));
+  EXPECT_EQ(store.exec_digest(), store::fold_exec_digest(chain, digest_of(0x99)));
 }
 
 TEST(Store, CrashPointSweepAtEveryByteOffset) {

@@ -571,6 +571,66 @@ TEST(Wire, TruncatedShardEnvelopeIsAStickyError) {
 
 namespace {
 
+/// A payload type with no wire form (application-defined, kMisc bucket).
+struct NoWirePayload final : sim::Payload {
+  [[nodiscard]] std::size_t wire_size() const override { return 16; }
+  [[nodiscard]] sim::Component component() const override { return sim::Component::kMisc; }
+};
+
+}  // namespace
+
+TEST(Wire, InPlaceEncodeAppendsExactlyTheSharedFrameBytes) {
+  // encode_frame(payload, instance, out) builds tag + body directly in `out`
+  // and patches the length prefix afterwards; its bytes must equal the
+  // shared-frame encoder's header + body, appended after whatever `out`
+  // already held, for both the bare and the kShardFrame envelope layouts.
+  proto::Datablock db;
+  db.maker = 2;
+  db.counter = 5;
+  for (std::uint64_t i = 0; i < 40; ++i) db.requests.push_back(request_of(3, i, true));
+  const proto::DatablockMsg block(std::move(db));
+  proto::AckMsg ack;
+  ack.client_id = 11;
+  ack.seqs = {4, 5};
+
+  const util::Bytes prefix = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
+  for (const sim::Payload* msg : {static_cast<const sim::Payload*>(&block),
+                                  static_cast<const sim::Payload*>(&ack)}) {
+    for (const std::uint32_t instance : {0u, 6u}) {
+      net::SharedFrame shared;
+      ASSERT_TRUE(net::encode_shared_frame(*msg, instance, shared));
+      util::Bytes expected = prefix;
+      expected.insert(expected.end(), shared.header.begin(),
+                      shared.header.begin() + shared.header_len);
+      expected.insert(expected.end(), shared.body->begin(), shared.body->end());
+
+      util::Bytes out = prefix;
+      ASSERT_TRUE(net::encode_frame(*msg, instance, out));
+      EXPECT_EQ(out, expected) << "instance=" << instance;
+
+      // Reusing a cleared buffer yields the bare frame again.
+      out.clear();
+      ASSERT_TRUE(net::encode_frame(*msg, instance, out));
+      EXPECT_EQ(out, util::Bytes(expected.begin() + static_cast<std::ptrdiff_t>(prefix.size()),
+                                 expected.end()));
+    }
+  }
+}
+
+TEST(Wire, InPlaceEncodeOfPayloadWithoutWireFormLeavesOutUntouched) {
+  const NoWirePayload msg;
+  for (const std::uint32_t instance : {0u, 6u}) {
+    util::Bytes out = {1, 2, 3};
+    EXPECT_FALSE(net::encode_frame(msg, instance, out));
+    EXPECT_EQ(out, (util::Bytes{1, 2, 3}));
+  }
+  net::SharedFrame shared;
+  EXPECT_FALSE(net::encode_shared_frame(msg, 0, shared));
+  EXPECT_FALSE(shared.valid());
+}
+
+namespace {
+
 /// Drains `q` in `chunk`-byte slices through fill_iovecs/consume — the exact
 /// shape of a sendmsg() loop under a tiny socket buffer — and returns the
 /// byte stream that "hit the wire". max_iov is deliberately small so resume

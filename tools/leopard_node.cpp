@@ -27,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "chaos/interposer.hpp"
@@ -46,6 +47,7 @@
 #include "store/replica_store.hpp"
 #include "store/state_sync.hpp"
 #include "util/bytes.hpp"
+#include "util/check.hpp"
 #include "util/worker_pool.hpp"
 
 namespace {
@@ -289,6 +291,15 @@ leopard::crypto::Digest block_digest_of(const leopard::sim::Payload& block) {
   return {};
 }
 
+/// Re-serializes an executed block's wire frame into `frame`, replacing its
+/// contents but keeping its capacity: with one buffer kept for the whole
+/// run, the execute path stops allocating once it has held the largest frame.
+void encode_exec_frame(const leopard::sim::Payload& block, leopard::util::Bytes& frame) {
+  frame.clear();
+  const bool ok = leopard::net::encode_frame(block, /*instance=*/0, frame);
+  leopard::util::ensures(ok, "executed block has no wire form");
+}
+
 /// Sizes the process-wide worker pool from the manifest: 0 derives from the
 /// machine, 1 keeps the serial path, N pins N lanes.
 void size_worker_pool(const leopard::net::Manifest& manifest) {
@@ -481,12 +492,16 @@ int run_replica(const Args& args, const leopard::net::Manifest& manifest) {
     return sync.on_payload(from, payload, env.now());
   });
 
+  lp::util::Bytes exec_frame;  // reused by every execute (encode_exec_frame)
   env.set_execute_observer([&](const lp::protocol::Execute& e) {
     const auto block_digest = block_digest_of(*e.block);
     // The frame only matters when it can be persisted or buffered for later
     // persistence; skip the re-serialization when running ephemeral + live.
-    lp::util::Bytes frame;
-    if (rstore != nullptr || !sync.live()) frame = lp::net::encode_frame(*e.block);
+    std::span<const std::uint8_t> frame;
+    if (rstore != nullptr || !sync.live()) {
+      encode_exec_frame(*e.block, exec_frame);
+      frame = exec_frame;
+    }
     sync.on_execute(e.seq, e.ordinal, block_digest, e.requests, frame, env.now());
   });
 
@@ -695,11 +710,15 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
   std::uint64_t noop_seq = 0;
   std::uint64_t last_emitted = 0;
 
+  lp::util::Bytes exec_frame;  // reused by every merged execute (encode_exec_frame)
   lp::shard::Sequencer sequencer(shards, [&](const lp::shard::GlobalRecord& r) {
     if (!lp::shard::is_filler_block(*r.exec.block) && pending_real > 0) --pending_real;
     const auto block_digest = block_digest_of(*r.exec.block);
-    lp::util::Bytes frame;
-    if (rstore != nullptr || !sync.live()) frame = lp::net::encode_frame(*r.exec.block);
+    std::span<const std::uint8_t> frame;
+    if (rstore != nullptr || !sync.live()) {
+      encode_exec_frame(*r.exec.block, exec_frame);
+      frame = exec_frame;
+    }
     sync.on_execute(r.exec.seq, r.exec.ordinal, block_digest, r.exec.requests, frame,
                     env.now());
   });
