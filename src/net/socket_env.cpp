@@ -134,11 +134,11 @@ void SocketEnv::apply(protocol::Action action) {
           core_timers_.arm(a.token, now() + std::max<sim::SimTime>(a.delay, 0));
         } else if constexpr (std::is_same_v<T, protocol::CancelTimer>) {
           core_timers_.cancel(a.token);
-        } else if constexpr (std::is_same_v<T, protocol::Execute>) {
-          if (execute_observer_) execute_observer_(a);
         } else if constexpr (std::is_same_v<T, protocol::MetricsUpdate>) {
           protocol::apply_metrics_update(metrics_, a);
         } else {
+          // Execute: a directly attached core is a client driver (replica
+          // cores are instances, whose MuxEnv hands Execute to the host).
           // ChargeCpu: the real CPU already charged itself.
         }
       },
@@ -160,12 +160,6 @@ void SocketEnv::send_payload(std::uint32_t instance, sim::NodeId to, const sim::
   // and stats.
   SharedFrame frame;
   if (!encode_shared_frame(payload, instance, frame)) return;
-  if (on_transport_thread()) {
-    if (!check_frame_size(frame)) return;
-    ++stats_.payload_copies;
-    send_frame(to, std::move(frame));
-    return;
-  }
   post_to_transport([this, to, frame = std::move(frame)]() mutable {
     if (!check_frame_size(frame)) return;
     ++stats_.payload_copies;
@@ -176,12 +170,6 @@ void SocketEnv::send_payload(std::uint32_t instance, sim::NodeId to, const sim::
 void SocketEnv::broadcast_payload(std::uint32_t instance, const sim::Payload& payload) {
   SharedFrame frame;
   if (!encode_shared_frame(payload, instance, frame)) return;
-  if (on_transport_thread()) {
-    if (!check_frame_size(frame)) return;
-    ++stats_.payload_copies;
-    broadcast_frame(std::move(frame));
-    return;
-  }
   post_to_transport([this, frame = std::move(frame)]() mutable {
     if (!check_frame_size(frame)) return;
     ++stats_.payload_copies;
@@ -626,11 +614,7 @@ bool SocketEnv::on_transport_thread() const {
          std::this_thread::get_id() == transport_tid_;
 }
 
-void SocketEnv::post_to_transport(std::function<void()> fn) {
-  if (on_transport_thread()) {
-    fn();
-    return;
-  }
+void SocketEnv::push_to_transport(std::function<void()> fn) {
   // The transport drains its ring every loop iteration, so spinning here is
   // bounded; per-producer FIFO (Vyukov ticket order) keeps each shard's
   // frames in submission order.
@@ -667,9 +651,14 @@ void SocketEnv::drain_transport_ring() {
   while (transport_ring_.try_pop(fn)) fn();
 }
 
+std::uint32_t SocketEnv::io_threads() const {
+  const auto workers = std::min<std::size_t>(opts_.io_threads, instances_.size());
+  return static_cast<std::uint32_t>(std::max<std::size_t>(workers, 1));
+}
+
 void SocketEnv::start_workers() {
-  if (opts_.io_threads <= 1 || instances_.size() <= 1) return;  // single-thread path
-  const auto n_workers = std::min<std::size_t>(opts_.io_threads, instances_.size());
+  const std::size_t n_workers = io_threads();
+  if (n_workers <= 1) return;  // single-thread path
   workers_.reserve(n_workers);
   for (std::size_t i = 0; i < n_workers; ++i) workers_.push_back(std::make_unique<Worker>());
   // Round-robin by registration order (instance ids ascend in the map):

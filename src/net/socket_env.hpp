@@ -6,9 +6,10 @@
 //     queue (bounded) and flush on (re)connect;
 //   - SetTimer/CancelTimer land in a hierarchical timer wheel keyed by the
 //     core's opaque tokens (re-arm replaces, cancel is O(1));
-//   - Execute feeds the application observer, MetricsUpdate the embedded
-//     ProtocolMetrics, and ChargeCpu is dropped (real CPUs charge
-//     themselves);
+//   - MetricsUpdate feeds the embedded ProtocolMetrics; Execute and
+//     ChargeCpu are dropped (a directly attached core is a client driver,
+//     replica cores run as registered instances whose shard::MuxEnv hands
+//     Execute to the host, and real CPUs charge themselves);
 //   - now() is the monotonic clock (ns since construction), costs() is
 //     all-zero.
 //
@@ -34,6 +35,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -96,11 +98,13 @@ class SocketEnv final : public protocol::Env {
   SocketEnv(const SocketEnv&) = delete;
   SocketEnv& operator=(const SocketEnv&) = delete;
 
-  /// Binds the protocol core this env hosts (not owned).
+  /// Binds a protocol core hosted directly on the transport thread (not
+  /// owned), without an instance adapter. Its Execute actions are dropped:
+  /// this is for client drivers; replicas register instances.
   void attach(protocol::Protocol& protocol) { protocol_ = &protocol; }
 
-  /// Multi-instance hosting (sharding): an additional core multiplexed over
-  /// this env's connections. The hooks live in the instance's own Env
+  /// Multi-instance hosting: a core multiplexed over this env's connections
+  /// (how leopard_node hosts every replica core, S >= 1). The hooks live in the instance's own Env
   /// adapter (shard::MuxEnv) — the transport only routes. Instance 0 travels
   /// as bare frames (wire-compatible with unsharded peers); any other id
   /// rides a kShardFrame envelope. Instance ids must be registered before
@@ -131,8 +135,15 @@ class SocketEnv final : public protocol::Env {
   /// Runs `fn` on the transport thread: inline when already there (or when
   /// no io-threads are running — the single-threaded path is unchanged),
   /// otherwise via the lock-free ring + wakeup. Cross-thread posts from one
-  /// producer run in FIFO order.
-  void post_to_transport(std::function<void()> fn);
+  /// producer run in FIFO order. The inline call builds no std::function.
+  template <typename Fn>
+  void post_to_transport(Fn&& fn) {
+    if (on_transport_thread()) {
+      fn();
+    } else {
+      push_to_transport(std::function<void()>(std::forward<Fn>(fn)));
+    }
+  }
 
   /// Runs `fn` on the thread that owns `instance`'s core (inline outside
   /// io-thread mode). Must be called from the transport thread — this is the
@@ -144,10 +155,6 @@ class SocketEnv final : public protocol::Env {
   /// to now().
   void arm_instance_timer(std::uint32_t instance, std::uint64_t token, sim::SimTime delay);
   void cancel_instance_timer(std::uint32_t instance, std::uint64_t token);
-
-  /// Application observer for Execute actions.
-  using ExecuteObserver = std::function<void(const protocol::Execute&)>;
-  void set_execute_observer(ExecuteObserver obs) { execute_observer_ = std::move(obs); }
 
   /// Deployment-layer tap on inbound payloads, called after decode and
   /// before the core sees the message. Return true to consume the payload
@@ -168,6 +175,11 @@ class SocketEnv final : public protocol::Env {
   }
   void arm_aux_timer(std::uint64_t token, sim::SimTime delay);
   void cancel_aux_timer(std::uint64_t token);
+
+  /// Threads that run the hosted cores: min(io_threads option, registered
+  /// instances) workers when that exceeds one, else 1 (everything on the
+  /// transport thread). Fixed once the instances are registered.
+  [[nodiscard]] std::uint32_t io_threads() const;
 
   /// Actual listening port (after ephemeral bind); 0 if not listening.
   [[nodiscard]] std::uint16_t listen_port() const { return bound_port_; }
@@ -317,6 +329,8 @@ class SocketEnv final : public protocol::Env {
   static constexpr std::size_t kRingCapacity = 16384;
 
   [[nodiscard]] bool on_transport_thread() const;
+  /// Cross-thread half of post_to_transport.
+  void push_to_transport(std::function<void()> fn);
   void start_workers();
   void stop_workers();
   void worker_main(Worker& worker);
@@ -326,7 +340,6 @@ class SocketEnv final : public protocol::Env {
   SocketEnvOptions opts_;
   protocol::Protocol* protocol_ = nullptr;
   std::map<std::uint32_t, Instance> instances_;
-  ExecuteObserver execute_observer_;
   PayloadInterceptor payload_interceptor_;
   std::function<void(std::uint64_t)> aux_timer_handler_;
   core::ProtocolMetrics metrics_;

@@ -275,6 +275,59 @@ TEST(Sequencer, AdvanceToBehindCursorIsNoOp) {
   EXPECT_EQ(emitted.size(), emitted_before);
 }
 
+/// A single-instance stream: multi-ordinal rounds and the sn gaps that
+/// checkpoint adoption leaves (0, 1, 5, 6, then a long jump).
+std::vector<In> one_shard_stream() {
+  return {{0, 0, 0, 1},  {0, 1, 0, 2},  {0, 1, 1, 3},  {0, 1, 2, 4},  {0, 5, 0, 5},
+          {0, 6, 0, 6},  {0, 6, 3, 7},  {0, 6, 4, 8},  {0, 1000, 0, 9}, {0, 1000, 1, 10}};
+}
+
+TEST(Sequencer, OneShardPassesEveryRecordThroughInsideItsPush) {
+  // The daemon hosts an unsharded replica as the S = 1 case, so the merge
+  // must be the identity there: same coordinates, no buffering, no backlog.
+  std::vector<Out> emitted;
+  shard::Sequencer seq(1, [&](const shard::GlobalRecord& r) { emitted.push_back(flatten(r)); });
+  for (const auto& in : one_shard_stream()) {
+    const auto before = emitted.size();
+    ASSERT_TRUE(seq.push(0, make_exec(in))) << "sn " << in.sseq;
+    ASSERT_EQ(emitted.size(), before + 1) << "sn " << in.sseq << " was not emitted in its push";
+    const auto& out = emitted.back();
+    EXPECT_EQ(out.tag, in.tag);
+    EXPECT_EQ(out.gseq, in.sseq);
+    EXPECT_EQ(out.gordinal, in.sordinal);
+    EXPECT_EQ(out.requests, make_exec(in).requests);
+    EXPECT_FALSE(seq.has_backlog()) << "after sn " << in.sseq;
+  }
+  EXPECT_EQ(seq.duplicates_dropped(), 0u);
+}
+
+TEST(Sequencer, OneShardAdvanceToUnshardedWalTailDropsReemissions) {
+  // A WAL written by a single-instance replica holds raw (sn, ordinal)
+  // coordinates; at S = 1 they read as shard 0. A restarted core replays
+  // from the start: everything at or below the tail is dropped, the rest
+  // passes through unchanged.
+  const auto stream = one_shard_stream();
+  const In& tail = stream[5];  // (6, 0)
+  std::vector<Out> emitted;
+  shard::Sequencer seq(1, [&](const shard::GlobalRecord& r) { emitted.push_back(flatten(r)); });
+  seq.advance_to(tail.sseq, tail.sordinal);
+  EXPECT_TRUE(emitted.empty());
+  for (const auto& in : stream) {
+    const bool replayed = std::pair{in.sseq, in.sordinal} <= std::pair{tail.sseq, tail.sordinal};
+    const auto before = emitted.size();
+    EXPECT_EQ(seq.push(0, make_exec(in)), !replayed) << "sn " << in.sseq;
+    ASSERT_EQ(emitted.size(), before + (replayed ? 0 : 1)) << "sn " << in.sseq;
+    if (!replayed) {
+      EXPECT_EQ(emitted.back().gseq, in.sseq);
+      EXPECT_EQ(emitted.back().gordinal, in.sordinal);
+    }
+    EXPECT_FALSE(seq.has_backlog());
+  }
+  EXPECT_EQ(seq.duplicates_dropped(), 6u);
+  ASSERT_EQ(emitted.size(), 4u);
+  EXPECT_EQ(emitted.front().tag, 7u);
+}
+
 TEST(Sequencer, OrdinalPackingRoundTrips) {
   EXPECT_EQ(shard::pack_ordinal(0, 0), 0u);
   EXPECT_EQ(shard::ordinal_shard(shard::pack_ordinal(7, 123)), 7u);

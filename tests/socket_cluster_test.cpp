@@ -237,8 +237,11 @@ void expect_cluster_commits(const std::string& protocol) {
   ReplicaSet cluster;
   for (std::size_t id = 0; id < 4; ++id) {
     // Every replica persists: the commit path runs through the WAL in all
-    // protocol specs, not just the crash-recovery test.
-    cluster.start(id, manifest, dir, dir + "/data" + std::to_string(id));
+    // protocol specs, not just the crash-recovery test. Replica 3 asks for
+    // io-threads it cannot use: one instance runs on the transport thread.
+    std::vector<std::string> extra;
+    if (id == 3) extra = {"--io-threads", "4"};
+    cluster.start(id, manifest, dir, dir + "/data" + std::to_string(id), std::move(extra));
   }
 
   const auto client_out = dir + "/client.out";
@@ -268,6 +271,10 @@ void expect_cluster_commits(const std::string& protocol) {
     EXPECT_GT(std::stoull(reports[id].at("store_entries")), 0u) << "replica " << id;
     EXPECT_EQ(reports[id].at("store_append_errors"), "0") << "replica " << id;
     EXPECT_EQ(reports[id].at("sync_live"), "1") << "replica " << id;
+    // One shard: the sequencer passes records through, so the stall tick
+    // never puts filler requests into the executed stream.
+    EXPECT_EQ(reports[id].at("noops_injected"), "0") << "replica " << id;
+    EXPECT_EQ(reports[id].at("io_threads"), "1") << "replica " << id;
   }
   if (protocol == "leopard") {
     for (std::size_t id = 1; id < 4; ++id) {
@@ -373,6 +380,11 @@ TEST(SocketCluster, LiveObservabilityEndpointsServeAllThreeRoutes) {
     EXPECT_EQ(statusz.front(), '{') << id;
     EXPECT_NE(statusz.find("\"role\":\"replica\""), std::string::npos) << id;
     EXPECT_NE(statusz.find("\"exec_digest\":\""), std::string::npos) << id;
+    // The single-instance keys, read from shard 0's core at S = 1.
+    EXPECT_NE(statusz.find("\"state_digest\":\""), std::string::npos) << id;
+    EXPECT_NE(statusz.find("\"view\":"), std::string::npos) << id;
+    EXPECT_NE(statusz.find("\"executed_through\":"), std::string::npos) << id;
+    EXPECT_NE(statusz.find("\"seq_emitted\":"), std::string::npos) << id;
     EXPECT_NE(statusz.find("\"peers\":["), std::string::npos) << id;
     EXPECT_NE(statusz.find("\"metrics\":{"), std::string::npos) << id;
     EXPECT_NE(statusz.find("\"traces\":{"), std::string::npos) << id;
@@ -448,8 +460,9 @@ TEST(SocketCluster, ShardedLeopardCommitsEndToEnd) {
 }
 
 // The sharded spec again, but with every replica running its shard cores on
-// per-instance io-threads (--io-threads 2): same per-shard digests, same
-// merged exec_digest, zero decode errors. Agreement across the whole cluster
+// per-instance io-threads (--io-threads 2, or 4 on replicas 2-3, which still
+// start only min(4, S) = 2 workers): same per-shard digests, same merged
+// exec_digest, zero decode errors. Agreement across the whole cluster
 // is the determinism proof for the worker handoff — the Sequencer merges
 // per-shard streams identically no matter which thread ran the core.
 TEST(SocketCluster, ShardedLeopardCommitsWithIoThreads) {
@@ -460,7 +473,7 @@ TEST(SocketCluster, ShardedLeopardCommitsWithIoThreads) {
   ReplicaSet cluster;
   for (std::size_t id = 0; id < 4; ++id) {
     cluster.start(id, manifest, dir, dir + "/data" + std::to_string(id),
-                  {"--io-threads", "2"});
+                  {"--io-threads", id < 2 ? "2" : "4"});
   }
 
   const auto client_out = dir + "/client.out";
@@ -477,7 +490,7 @@ TEST(SocketCluster, ShardedLeopardCommitsWithIoThreads) {
   }
   for (std::size_t id = 0; id < 4; ++id) {
     ASSERT_TRUE(reports[id].contains("exec_digest")) << "replica " << id;
-    EXPECT_EQ(reports[id].at("io_threads"), "2") << "replica " << id;
+    EXPECT_EQ(reports[id].at("io_threads"), "2") << "replica " << id << ": min(N, S) workers";
     EXPECT_EQ(reports[id].at("exec_digest"), reports[0].at("exec_digest"))
         << "replica " << id << " diverged on the merged stream";
     for (const auto* key : {"shard0_digest", "shard1_digest"}) {

@@ -5,11 +5,17 @@
 //
 //   leopard_node --manifest cluster.conf --id 2 [--run-for SECONDS]
 //
-// Hosts the protocol core named by the manifest behind a SocketEnv: real
-// nonblocking TCP to every peer, wire framing, timer wheel. Runs until
-// SIGINT/SIGTERM (or --run-for elapses), then prints a key=value report:
-// executed request count, the Execute-stream fold digest (exec_digest, equal
-// across honest replicas), Leopard's state_digest, and transport stats.
+// Hosts S >= 1 instances of the protocol core named by the manifest (S from
+// `shards` / --shards), each behind a shard::MuxEnv over one SocketEnv: real
+// nonblocking TCP to every peer, wire framing, timer wheels. A
+// shard::Sequencer merges the instances' Execute streams into the one stream
+// the store and state transfer consume. S = 1 is the one-shard case: shard 0
+// keeps the node's identity, its frames travel bare and the sequencer passes
+// records straight through, so the node is a plain single-instance replica.
+// Runs until SIGINT/SIGTERM (or --run-for elapses), then prints a key=value
+// report: executed request count, the Execute-stream fold digest
+// (exec_digest, equal across honest replicas), per-shard folds, Leopard's
+// state_digest (S = 1), and transport stats.
 //
 // Client mode (the throughput driver):
 //
@@ -18,9 +24,11 @@
 //                [--timeout SECONDS]
 //
 // Submits a closed-loop window of requests (Leopard: µ(req)-routed to
-// non-leader replicas; baselines: to the leader), waits for every ack, and
-// reports achieved kreq/s plus latency. Exits non-zero if the run times out
-// before all requests are acked.
+// non-leader replicas; baselines: to the leader), hash-partitioned across
+// the S shards, waits for every ack, and reports achieved kreq/s plus
+// latency. Exits non-zero if the run times out before all requests are
+// acked.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +37,8 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/interposer.hpp"
 #include "core/client.hpp"
@@ -68,7 +78,7 @@ struct Args {
   std::uint32_t payload = 0;  // client: payload override (0 = manifest value)
   std::uint32_t resubmit_ms = 1000;
   std::uint32_t shards = 0;   // parallel protocol instances (0 = manifest value)
-  std::uint32_t io_threads = 1;  // worker threads for shard instances (sharded mode)
+  std::uint32_t io_threads = 1;  // worker threads for shard instances (replica mode)
   std::string report_path;    // optional: also write the report to a file
 
   // Observability: HOST:PORT (or :PORT / PORT) for /metrics, /statusz,
@@ -207,8 +217,7 @@ void emit_report(const Args& args, const std::string& report) {
   }
 }
 
-void print_transport_stats(std::string& report, const leopard::net::SocketEnv& env,
-                           std::uint32_t io_threads = 1) {
+void print_transport_stats(std::string& report, const leopard::net::SocketEnv& env) {
   const auto& s = env.stats();
   char buf[384];
   std::snprintf(buf, sizeof(buf),
@@ -229,7 +238,7 @@ void print_transport_stats(std::string& report, const leopard::net::SocketEnv& e
   // (fanout minus one per broadcast), writev_calls counts sendmsg syscalls.
   std::snprintf(buf, sizeof(buf),
                 "io_threads=%u writev_calls=%llu payload_copies=%llu frames_shared=%llu\n",
-                io_threads, static_cast<unsigned long long>(s.writev_calls),
+                env.io_threads(), static_cast<unsigned long long>(s.writev_calls),
                 static_cast<unsigned long long>(s.payload_copies),
                 static_cast<unsigned long long>(s.frames_shared));
   report += buf;
@@ -252,10 +261,10 @@ void print_transport_stats(std::string& report, const leopard::net::SocketEnv& e
   report += "peer_reconnects=" + (reconnects.empty() ? "-" : reconnects) + "\n";
 }
 
-/// Recomputes a block's canonical digest from its wire frame, mirroring the
-/// execute-observer fold below: the cached_digest of a Datablock/Baseline
-/// block, the zero digest for anything else, nullopt if the frame is
-/// malformed. StateSync uses this to verify transferred entries.
+/// Recomputes a block's canonical digest from its wire frame, mirroring
+/// block_digest_of below: the cached_digest of a Datablock/Baseline block,
+/// the zero digest for anything else, nullopt if the frame is malformed.
+/// StateSync uses this to verify transferred entries.
 std::optional<leopard::crypto::Digest> digest_of_frame(
     std::span<const std::uint8_t> frame) {
   namespace lp = leopard;
@@ -343,6 +352,13 @@ std::unique_ptr<leopard::obs::HttpServer> make_metrics_server(
   return http;
 }
 
+leopard::obs::HttpServer::Response json_response(const leopard::obs::JsonWriter& w) {
+  leopard::obs::HttpServer::Response resp;
+  resp.content_type = "application/json";
+  resp.body = w.str();
+  return resp;
+}
+
 void write_peers_json(leopard::obs::JsonWriter& w, leopard::net::SocketEnv& env) {
   w.key("peers").array_begin();
   for (const auto& p : env.peer_snapshots()) {
@@ -397,249 +413,18 @@ void print_client_latency(std::string& report, const leopard::core::ProtocolMetr
   report += buf;
 }
 
-int run_replica(const Args& args, const leopard::net::Manifest& manifest) {
-  namespace lp = leopard;
-
-  size_worker_pool(manifest);
-  const lp::crypto::ThresholdScheme ts(manifest.n, manifest.quorum(), manifest.seed);
-  const auto spec = manifest.spec();
-
-  // The hosted protocol is either the honest core or, under --byzantine, the
-  // unmodified core wrapped in the attack interposer (chaos/interposer.hpp).
-  // `inner_core` always points at the consensus core for report accessors.
-  std::unique_ptr<lp::protocol::Protocol> hosted = lp::protocol::make_protocol(spec, ts, args.id);
-  const lp::protocol::Protocol* inner_core = hosted.get();
-
-  // Request-stage tracer: hooks into the (still-unwrapped) Leopard core so
-  // Table IV stage latencies are measured on the real wire path. Stage
-  // histograms land in the global registry; sampled spans are dumpable via
-  // /statusz?traces=1.
-  auto& registry = lp::obs::Registry::global();
-  lp::obs::StageTracer::Options topts;
-  topts.sample_every = args.trace_sample;
-  auto tracer = std::make_unique<lp::obs::StageTracer>(registry, topts);
-  if (auto* lr = dynamic_cast<lp::core::LeopardReplica*>(hosted.get())) {
-    lp::obs::StageTracer* t = tracer.get();
-    lr->set_stage_hooks(
-        [t](std::uint64_t client, std::uint64_t seq, lp::sim::SimTime ingress,
-            lp::sim::SimTime created) { t->on_generated(client, seq, ingress, created); },
-        [t](std::uint64_t client, std::uint64_t seq, lp::sim::SimTime created,
-            lp::sim::SimTime linked, lp::sim::SimTime executed) {
-          t->on_executed(client, seq, created, linked, executed);
-        });
-  }
-
-  lp::chaos::ByzantineInterposer* byz = nullptr;
-  if (!args.byzantine.empty()) {
-    lp::chaos::InterposerOptions bopts;
-    bopts.attack = *lp::chaos::parse_wire_attack(args.byzantine);
-    bopts.n = manifest.n;
-    bopts.f = (manifest.n - 1) / 3;
-    bopts.lag =
-        static_cast<lp::sim::SimTime>(args.byzantine_lag_ms) * lp::sim::kMillisecond;
-    auto wrapped =
-        std::make_unique<lp::chaos::ByzantineInterposer>(std::move(hosted), ts, bopts);
-    byz = wrapped.get();
-    hosted = std::move(wrapped);
-  }
-
-  lp::net::SocketEnv env(manifest.replica_env_options(args.id));
-  env.attach(*hosted);  // --io-threads needs shard instances; a lone core stays single-threaded
-
-  // Durable state: recover the WAL + snapshot before touching the network.
-  // A corrupt store refuses to start under --recover=strict — restarting on
-  // silently damaged state is how a replica ends up voting against its past.
-  std::unique_ptr<lp::store::ReplicaStore> rstore;
-  lp::store::RecoveryResult recovery;
-  if (!args.data_dir.empty()) {
-    lp::store::StoreOptions sopts;
-    sopts.dir = args.data_dir;
-    sopts.fsync_policy = args.fsync;
-    sopts.fsync_interval =
-        static_cast<lp::sim::SimTime>(args.fsync_interval_ms) * lp::sim::kMillisecond;
-    sopts.snapshot_every = args.snapshot_every;
-    rstore = std::make_unique<lp::store::ReplicaStore>(sopts);
-    recovery = rstore->open(args.recover);
-    if (!recovery.ok()) {
-      std::fprintf(stderr, "leopard_node: data dir '%s' unusable: %s\n",
-                   args.data_dir.c_str(), recovery.detail.c_str());
-      return 3;
-    }
-  }
-
-  // StateSync owns the node-level Execute stream: the exec_digest fold (equal
-  // across honest replicas for all three protocols), durable appends, and
-  // catch-up from peers after a restart. The consensus core stays unaware.
-  const std::uint32_t f = (manifest.n - 1) / 3;
-  lp::store::StateSyncOptions syncopts;
-  syncopts.frame_digest = digest_of_frame;
-  lp::store::StateSync sync(args.id, manifest.n, f, rstore.get(), syncopts);
-  sync.init_from_recovery(recovery);
-  sync.set_send([&](lp::sim::NodeId to, lp::sim::PayloadPtr payload) {
-    // State-sync traffic bypasses the protocol core, so the byzantine
-    // interposer taps it here to keep the attack covering every byte sent.
-    if (byz != nullptr) {
-      payload = byz->filter_deployment_send(to, std::move(payload));
-      if (payload == nullptr) return;
-    }
-    env.apply(lp::protocol::Send{to, std::move(payload)});
-  });
-  sync.set_timer_hooks(
-      [&](std::uint64_t token, lp::sim::SimTime delay) { env.arm_aux_timer(token, delay); },
-      [&](std::uint64_t token) { env.cancel_aux_timer(token); });
-  env.set_aux_timer_handler([&](std::uint64_t token) { sync.on_timer(token, env.now()); });
-  env.set_payload_interceptor([&](lp::sim::NodeId from, const lp::sim::PayloadPtr& payload) {
-    return sync.on_payload(from, payload, env.now());
-  });
-
-  lp::util::Bytes exec_frame;  // reused by every execute (encode_exec_frame)
-  env.set_execute_observer([&](const lp::protocol::Execute& e) {
-    const auto block_digest = block_digest_of(*e.block);
-    // The frame only matters when it can be persisted or buffered for later
-    // persistence; skip the re-serialization when running ephemeral + live.
-    std::span<const std::uint8_t> frame;
-    if (rstore != nullptr || !sync.live()) {
-      encode_exec_frame(*e.block, exec_frame);
-      frame = exec_frame;
-    }
-    sync.on_execute(e.seq, e.ordinal, block_digest, e.requests, frame, env.now());
-  });
-
-  // Observability endpoint: runs on the transport thread's event loop, so
-  // handlers may read env/sync/core state directly (the unsharded core runs
-  // on that same thread). Declared after env/sync — destroyed before them.
-  env.register_observability(registry);
-  if (const auto* replica = dynamic_cast<const lp::core::LeopardReplica*>(inner_core)) {
-    registry.gauge_fn("leopard_view", "Current consensus view", "",
-                      [replica] { return static_cast<double>(replica->view()); });
-    registry.gauge_fn("leopard_executed_through", "Highest contiguously executed sn", "",
-                      [replica] { return static_cast<double>(replica->executed_through()); });
-  }
-  bool metrics_bind_failed = false;
-  auto http = make_metrics_server(args, env, &metrics_bind_failed);
-  if (metrics_bind_failed) return 3;
-  if (http != nullptr) {
-    http->handle("/statusz", [&, inner_core](std::string_view query) {
-      lp::obs::JsonWriter w;
-      w.object_begin();
-      w.key("role").value("replica");
-      w.key("id").value(static_cast<std::uint64_t>(args.id));
-      w.key("protocol").value(manifest.protocol);
-      w.key("n").value(static_cast<std::uint64_t>(manifest.n));
-      if (const auto* replica = dynamic_cast<const lp::core::LeopardReplica*>(inner_core)) {
-        w.key("view").value(static_cast<std::uint64_t>(replica->view()));
-        w.key("executed_through").value(replica->executed_through());
-        w.key("state_digest").value(replica->state_digest().hex());
-      }
-      w.key("executed_requests").value(sync.executed_requests());
-      w.key("executed_blocks").value(sync.executed_blocks());
-      w.key("exec_digest").value(sync.exec_digest().hex());
-      w.key("sync_live").value(sync.live());
-      write_peers_json(w, env);
-      w.key("metrics");
-      registry.write_statusz(w);
-      if (lp::obs::query_param(query, "traces") == "1") {
-        w.key("traces");
-        tracer->write_json(w);
-      }
-      w.object_end();
-      lp::obs::HttpServer::Response resp;
-      resp.content_type = "application/json";
-      resp.body = w.str();
-      return resp;
-    });
-    http->serve_registry(registry);
-  }
-
-  sync.start(env.now());
-
-  const auto deadline =
-      args.run_for >= 0 ? lp::sim::from_seconds(args.run_for) : lp::sim::SimTime{-1};
-  env.run([&] {
-    if (g_stop != 0) return true;
-    return deadline >= 0 && env.now() >= deadline;
-  });
-
-  if (rstore != nullptr) rstore->flush();
-
-  std::string report;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), "role=replica id=%u protocol=%s n=%u\n", args.id,
-                manifest.protocol.c_str(), manifest.n);
-  report += buf;
-  std::snprintf(buf, sizeof(buf), "executed_requests=%llu executed_blocks=%llu\n",
-                static_cast<unsigned long long>(sync.executed_requests()),
-                static_cast<unsigned long long>(sync.executed_blocks()));
-  report += buf;
-  report += "exec_digest=" + sync.exec_digest().hex() + "\n";
-  if (byz != nullptr) {
-    const auto& bs = byz->stats();
-    std::snprintf(buf, sizeof(buf),
-                  "byzantine=%s byz_equivocations=%llu byz_suppressed=%llu "
-                  "byz_corrupted=%llu byz_delayed=%llu\n",
-                  args.byzantine.c_str(),
-                  static_cast<unsigned long long>(bs.equivocations),
-                  static_cast<unsigned long long>(bs.suppressed),
-                  static_cast<unsigned long long>(bs.corrupted),
-                  static_cast<unsigned long long>(bs.delayed));
-    report += buf;
-  }
-  if (const auto* replica = dynamic_cast<const lp::core::LeopardReplica*>(inner_core)) {
-    report += "state_digest=" + replica->state_digest().hex() + "\n";
-    std::snprintf(buf, sizeof(buf), "view=%u executed_through=%llu\n", replica->view(),
-                  static_cast<unsigned long long>(replica->executed_through()));
-    report += buf;
-  }
-  print_stage_latency(report, registry, *tracer);
-  if (rstore != nullptr) {
-    const auto& st = rstore->stats();
-    std::snprintf(buf, sizeof(buf),
-                  "store_entries=%llu store_recovered_entries=%llu "
-                  "store_snapshot_index=%llu store_torn_bytes=%llu "
-                  "store_corrupt_dropped=%llu\n",
-                  static_cast<unsigned long long>(rstore->entries()),
-                  static_cast<unsigned long long>(recovery.entries),
-                  static_cast<unsigned long long>(recovery.snapshot_index),
-                  static_cast<unsigned long long>(recovery.torn_bytes),
-                  static_cast<unsigned long long>(recovery.corrupt_dropped));
-    report += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "store_appends=%llu store_append_errors=%llu store_fsyncs=%llu "
-                  "store_fsync_errors=%llu store_snapshots=%llu\n",
-                  static_cast<unsigned long long>(st.appends),
-                  static_cast<unsigned long long>(st.append_errors),
-                  static_cast<unsigned long long>(st.fsyncs),
-                  static_cast<unsigned long long>(st.fsync_errors),
-                  static_cast<unsigned long long>(st.snapshots_written));
-    report += buf;
-  }
-  {
-    const auto& ss = sync.stats();
-    std::snprintf(buf, sizeof(buf),
-                  "sync_live=%d sync_rounds=%llu sync_entries=%llu "
-                  "sync_duplicates=%llu sync_probes=%llu sync_pulls_served=%llu "
-                  "sync_verify_failures=%llu\n",
-                  sync.live() ? 1 : 0,
-                  static_cast<unsigned long long>(ss.rounds_completed),
-                  static_cast<unsigned long long>(ss.entries_transferred),
-                  static_cast<unsigned long long>(ss.duplicates_dropped),
-                  static_cast<unsigned long long>(ss.probes_sent),
-                  static_cast<unsigned long long>(ss.pulls_served),
-                  static_cast<unsigned long long>(ss.verify_failures));
-    report += buf;
-  }
-  print_transport_stats(report, env);
-  emit_report(args, report);
-  return 0;
-}
-
 /// Aux-timer token for the cross-shard stall tick. StateSync owns tokens 1
 /// and 2 on the same aux wheel; this namespace is disjoint by construction.
 constexpr std::uint64_t kStallTimer = 0x100;
 constexpr leopard::sim::SimTime kStallTickInterval = 100 * leopard::sim::kMillisecond;
 
-int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest,
-                        std::uint32_t shards) {
+/// One replica: S >= 1 unmodified protocol cores, each behind a
+/// shard::MuxEnv over one shared SocketEnv, merged by a shard::Sequencer into
+/// the one Execute stream that the store and StateSync consume. At S = 1 the
+/// sequencer passes every record through unchanged inside its own push, so
+/// the WAL, the wire bytes and the executed stream are a lone core's.
+int run_replica(const Args& args, const leopard::net::Manifest& manifest,
+                std::uint32_t shards) {
   namespace lp = leopard;
 
   size_worker_pool(manifest);
@@ -652,7 +437,9 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
 
   // Durability + state transfer: ONE store and ONE StateSync consuming the
   // MERGED global stream — (gseq, gordinal) is the durable-commit identity,
-  // so the whole PR6 stack runs unchanged under sharding.
+  // so the store and state transfer run unchanged for every S. A corrupt
+  // store refuses to start under --recover=strict: restarting on silently
+  // damaged state is how a replica ends up voting against its past.
   std::unique_ptr<lp::store::ReplicaStore> rstore;
   lp::store::RecoveryResult recovery;
   if (!args.data_dir.empty()) {
@@ -725,7 +512,8 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
 
   // S unmodified cores over the shared transport: shard s hosts core-level
   // replica (id - s) mod n under a per-shard threshold domain (seed + s), so
-  // each shard's leader lands on a different machine.
+  // each shard's leader lands on a different machine. Shard 0 keeps the
+  // node's own id and seed.
   std::vector<lp::crypto::ThresholdScheme> schemes;
   schemes.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
@@ -758,6 +546,8 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
             t->on_executed(client, seq, created, linked, executed);
           });
     }
+    // --byzantine wraps the unmodified core in the attack interposer
+    // (chaos/interposer.hpp); leopard_cores keeps the inner core for reports.
     if (!args.byzantine.empty()) {
       lp::chaos::InterposerOptions bopts;
       bopts.attack = *lp::chaos::parse_wire_attack(args.byzantine);
@@ -788,6 +578,8 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
   }
 
   sync.set_send([&](lp::sim::NodeId to, lp::sim::PayloadPtr payload) {
+    // State-sync traffic bypasses the protocol cores, so the byzantine
+    // interposer taps it here to keep the attack covering every byte sent.
     if (byzs[0] != nullptr) {
       payload = byzs[0]->filter_deployment_send(to, std::move(payload));
       if (payload == nullptr) return;
@@ -806,6 +598,15 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
                     [&sequencer] { return static_cast<double>(sequencer.emitted()); });
   registry.gauge_fn("leopard_seq_round", "Cross-shard sequencer round cursor", "",
                     [&sequencer] { return static_cast<double>(sequencer.round()); });
+  // At S = 1 shard 0's core is the replica and runs on this (transport)
+  // thread, so the single-instance keys read it directly.
+  const lp::core::LeopardReplica* lone = shards == 1 ? leopard_cores[0] : nullptr;
+  if (lone != nullptr) {
+    registry.gauge_fn("leopard_view", "Current consensus view", "",
+                      [lone] { return static_cast<double>(lone->view()); });
+    registry.gauge_fn("leopard_executed_through", "Highest contiguously executed sn", "",
+                      [lone] { return static_cast<double>(lone->executed_through()); });
+  }
   bool metrics_bind_failed = false;
   auto http = make_metrics_server(args, env, &metrics_bind_failed);
   if (metrics_bind_failed) return 3;
@@ -818,6 +619,11 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
       w.key("protocol").value(manifest.protocol);
       w.key("n").value(static_cast<std::uint64_t>(n));
       w.key("shards").value(static_cast<std::uint64_t>(shards));
+      if (lone != nullptr) {
+        w.key("view").value(static_cast<std::uint64_t>(lone->view()));
+        w.key("executed_through").value(lone->executed_through());
+        w.key("state_digest").value(lone->state_digest().hex());
+      }
       w.key("executed_requests").value(sync.executed_requests());
       w.key("executed_blocks").value(sync.executed_blocks());
       w.key("exec_digest").value(sync.exec_digest().hex());
@@ -829,7 +635,7 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
       // Shard cores run on worker threads when io_threads > 1; their live
       // views are only coherently readable from this (transport) thread in
       // the single-io-thread layout.
-      if (args.io_threads <= 1) {
+      if (env.io_threads() <= 1) {
         w.key("shard_views").array_begin();
         for (std::uint32_t s = 0; s < shards; ++s) {
           w.value(static_cast<std::uint64_t>(
@@ -845,10 +651,7 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
         tracer->write_json(w);
       }
       w.object_end();
-      lp::obs::HttpServer::Response resp;
-      resp.content_type = "application/json";
-      resp.body = w.str();
-      return resp;
+      return json_response(w);
     });
     http->serve_registry(registry);
   }
@@ -927,6 +730,12 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
                 static_cast<unsigned long long>(sequencer.round()),
                 static_cast<unsigned long long>(noops_injected));
   report += buf;
+  if (lone != nullptr) {
+    report += "state_digest=" + lone->state_digest().hex() + "\n";
+    std::snprintf(buf, sizeof(buf), "view=%u executed_through=%llu\n", lone->view(),
+                  static_cast<unsigned long long>(lone->executed_through()));
+    report += buf;
+  }
   print_stage_latency(report, registry, *tracer);
   if (byzs[0] != nullptr) {
     lp::chaos::ByzantineInterposer::Stats total{};
@@ -984,100 +793,27 @@ int run_replica_sharded(const Args& args, const leopard::net::Manifest& manifest
                   static_cast<unsigned long long>(ss.verify_failures));
     report += buf;
   }
-  print_transport_stats(report, env, args.io_threads);
+  print_transport_stats(report, env);
   emit_report(args, report);
   return 0;
 }
 
-int run_client(const Args& args, const leopard::net::Manifest& manifest) {
+/// The closed-loop client driver: one LeopardClient per shard, each behind a
+/// shard::MuxEnv over one SocketEnv. At S = 1 that is one client with the
+/// whole window, the whole request count and seed + id.
+int run_client(const Args& args, const leopard::net::Manifest& manifest,
+               std::uint32_t shards) {
   namespace lp = leopard;
 
   lp::core::ClientConfig cfg;
   cfg.payload_size = args.payload != 0 ? args.payload : manifest.payload_size;
   cfg.real_payload = true;  // a real deployment ships real bytes
-  cfg.closed_loop_window = args.window;
-  cfg.total_requests = args.requests;
   cfg.resubmit_timeout =
       static_cast<lp::sim::SimTime>(args.resubmit_ms) * lp::sim::kMillisecond;
 
   const auto leader = manifest.initial_leader();
   const bool leopard = manifest.protocol == "leopard";
-  if (leopard) {
-    cfg.route_by_mu = true;  // µ(req) load balancing over non-leader replicas
-  }
-  // Baselines accept client requests only at the leader, so the re-submission
-  // rotation set is just {leader}; Leopard rotates over all non-leader
-  // replicas.
-  lp::core::LeopardClient client(cfg, /*target=*/leader,
-                                 /*replica_count=*/leopard ? manifest.n : 1,
-                                 /*avoid=*/leopard ? leader : manifest.n,
-                                 manifest.seed + args.id);
-  client.set_self_id(args.id);
-
-  lp::net::SocketEnv env(manifest.client_env_options(args.id));
-  env.attach(client);
-
-  auto& registry = lp::obs::Registry::global();
-  env.register_observability(registry);
-  bool metrics_bind_failed = false;
-  auto http = make_metrics_server(args, env, &metrics_bind_failed);
-  if (metrics_bind_failed) return 3;
-  if (http != nullptr) {
-    http->handle("/statusz", [&](std::string_view) {
-      lp::obs::JsonWriter w;
-      w.object_begin();
-      w.key("role").value("client");
-      w.key("id").value(static_cast<std::uint64_t>(args.id));
-      w.key("protocol").value(manifest.protocol);
-      w.key("submitted").value(client.submitted());
-      w.key("acked").value(client.acked());
-      write_peers_json(w, env);
-      w.key("metrics");
-      registry.write_statusz(w);
-      w.object_end();
-      lp::obs::HttpServer::Response resp;
-      resp.content_type = "application/json";
-      resp.body = w.str();
-      return resp;
-    });
-    http->serve_registry(registry);
-  }
-
-  const auto deadline = lp::sim::from_seconds(args.timeout);
-  env.run([&] { return g_stop != 0 || client.done() || env.now() >= deadline; });
-  const double elapsed = lp::sim::to_seconds(env.now());
-
-  auto& metrics = env.metrics();
-  std::string report;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "role=client id=%u protocol=%s n=%u\n", args.id,
-                manifest.protocol.c_str(), manifest.n);
-  report += buf;
-  std::snprintf(buf, sizeof(buf),
-                "submitted=%llu acked=%llu elapsed_s=%.3f kreq_s=%.3f\n",
-                static_cast<unsigned long long>(client.submitted()),
-                static_cast<unsigned long long>(client.acked()), elapsed,
-                elapsed > 0 ? static_cast<double>(client.acked()) / elapsed / 1e3 : 0.0);
-  report += buf;
-  print_client_latency(report, metrics);
-  print_transport_stats(report, env);
-  emit_report(args, report);
-  return client.done() ? 0 : 1;
-}
-
-int run_client_sharded(const Args& args, const leopard::net::Manifest& manifest,
-                       std::uint32_t shards) {
-  namespace lp = leopard;
-
-  lp::core::ClientConfig cfg;
-  cfg.payload_size = args.payload != 0 ? args.payload : manifest.payload_size;
-  cfg.real_payload = true;
-  cfg.resubmit_timeout =
-      static_cast<lp::sim::SimTime>(args.resubmit_ms) * lp::sim::kMillisecond;
-
-  const auto leader = manifest.initial_leader();
-  const bool leopard = manifest.protocol == "leopard";
-  if (leopard) cfg.route_by_mu = true;
+  if (leopard) cfg.route_by_mu = true;  // µ(req) load balancing over non-leader replicas
 
   // Hash-partition the request index space across shards (the same
   // shard_of split the sim driver uses), with a per-shard slice of the
@@ -1096,6 +832,9 @@ int run_client_sharded(const Args& args, const leopard::net::Manifest& manifest,
     lp::core::ClientConfig sub_cfg = cfg;
     sub_cfg.total_requests = totals[s];
     sub_cfg.closed_loop_window = std::max(1u, args.window / shards);
+    // Baselines accept client requests only at the leader, so the
+    // re-submission rotation set is just {leader}; Leopard rotates over all
+    // non-leader replicas.
     auto sub = std::make_unique<lp::core::LeopardClient>(
         sub_cfg, /*target=*/leader, /*replica_count=*/leopard ? manifest.n : 1,
         /*avoid=*/leopard ? leader : manifest.n, seed + 7919ull * s);
@@ -1109,10 +848,15 @@ int run_client_sharded(const Args& args, const leopard::net::Manifest& manifest,
   }
 
   const auto all_done = [&] {
+    return std::all_of(subs.begin(), subs.end(), [](const auto& sub) { return sub->done(); });
+  };
+  const auto counts = [&] {  // (submitted, acked) over every shard's client
+    std::pair<std::uint64_t, std::uint64_t> total{0, 0};
     for (const auto& sub : subs) {
-      if (!sub->done()) return false;
+      total.first += sub->submitted();
+      total.second += sub->acked();
     }
-    return true;
+    return total;
   };
 
   auto& registry = lp::obs::Registry::global();
@@ -1122,12 +866,7 @@ int run_client_sharded(const Args& args, const leopard::net::Manifest& manifest,
   if (metrics_bind_failed) return 3;
   if (http != nullptr) {
     http->handle("/statusz", [&](std::string_view) {
-      std::uint64_t submitted = 0;
-      std::uint64_t acked = 0;
-      for (const auto& sub : subs) {
-        submitted += sub->submitted();
-        acked += sub->acked();
-      }
+      const auto [submitted, acked] = counts();
       lp::obs::JsonWriter w;
       w.object_begin();
       w.key("role").value("client");
@@ -1140,10 +879,7 @@ int run_client_sharded(const Args& args, const leopard::net::Manifest& manifest,
       w.key("metrics");
       registry.write_statusz(w);
       w.object_end();
-      lp::obs::HttpServer::Response resp;
-      resp.content_type = "application/json";
-      resp.body = w.str();
-      return resp;
+      return json_response(w);
     });
     http->serve_registry(registry);
   }
@@ -1151,13 +887,7 @@ int run_client_sharded(const Args& args, const leopard::net::Manifest& manifest,
   const auto deadline = lp::sim::from_seconds(args.timeout);
   env.run([&] { return g_stop != 0 || all_done() || env.now() >= deadline; });
   const double elapsed = lp::sim::to_seconds(env.now());
-
-  std::uint64_t submitted = 0;
-  std::uint64_t acked = 0;
-  for (const auto& sub : subs) {
-    submitted += sub->submitted();
-    acked += sub->acked();
-  }
+  const auto [submitted, acked] = counts();
 
   auto& metrics = env.metrics();
   std::string report;
@@ -1195,12 +925,8 @@ int main(int argc, char** argv) {
     }
     // --shards overrides the manifest; every node of a cluster must agree.
     const std::uint32_t shards = args.shards != 0 ? args.shards : manifest.shards;
-    if (args.client) {
-      return shards > 1 ? run_client_sharded(args, manifest, shards)
-                        : run_client(args, manifest);
-    }
-    return shards > 1 ? run_replica_sharded(args, manifest, shards)
-                      : run_replica(args, manifest);
+    return args.client ? run_client(args, manifest, shards)
+                       : run_replica(args, manifest, shards);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "leopard_node: %s\n", e.what());
     return 2;
