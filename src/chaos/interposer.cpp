@@ -38,10 +38,10 @@ ByzantineInterposer::ByzantineInterposer(std::unique_ptr<protocol::Protocol> cor
                        "Actions rewritten by the byzantine interposer",
                        attack + ",kind=\"" + kind + "\"");
   };
-  obs_equivocations_ = kind_counter("equivocation");
-  obs_suppressed_ = kind_counter("suppressed");
-  obs_corrupted_ = kind_counter("corrupted");
-  obs_delayed_ = kind_counter("delayed");
+  equivocations_ = kind_counter("equivocation");
+  suppressed_ = kind_counter("suppressed");
+  corrupted_ = kind_counter("corrupted");
+  delayed_ = kind_counter("delayed");
 }
 
 void ByzantineInterposer::on_start(protocol::Env& env) {
@@ -77,8 +77,7 @@ sim::PayloadPtr ByzantineInterposer::filter_deployment_send(protocol::NodeId to,
   switch (opts_.attack) {
     case WireAttack::kSilence:
       if (is_victim(to)) {
-        ++stats_.suppressed;
-        obs_suppressed_.inc();
+        suppressed_.inc();
         return nullptr;
       }
       return payload;
@@ -137,8 +136,7 @@ void ByzantineInterposer::apply_equivocate(protocol::Action action, protocol::En
     const bool first_half = r < opts_.n / 2;
     inner.apply(protocol::Send{r, first_half ? bcast->payload : twin_msg});
   }
-  ++stats_.equivocations;
-  obs_equivocations_.inc();
+  equivocations_.inc();
 }
 
 bool ByzantineInterposer::is_victim(protocol::NodeId to) const {
@@ -155,8 +153,7 @@ bool ByzantineInterposer::is_victim(protocol::NodeId to) const {
 void ByzantineInterposer::apply_silence(protocol::Action action, protocol::Env& inner) {
   if (auto* send = std::get_if<protocol::Send>(&action)) {
     if (is_victim(send->to)) {
-      ++stats_.suppressed;
-      obs_suppressed_.inc();
+      suppressed_.inc();
       return;
     }
     inner.apply(std::move(action));
@@ -167,8 +164,7 @@ void ByzantineInterposer::apply_silence(protocol::Action action, protocol::Env& 
   for (std::uint32_t r = 0; r < opts_.n; ++r) {
     if (r == core_->id()) continue;
     if (is_victim(r)) {
-      ++stats_.suppressed;
-      obs_suppressed_.inc();
+      suppressed_.inc();
       continue;
     }
     inner.apply(protocol::Send{r, bcast.payload});
@@ -187,8 +183,7 @@ sim::PayloadPtr ByzantineInterposer::corrupt_chunk(const sim::PayloadPtr& payloa
       b[0] ^= 0xFF;
       copy->merkle_root = crypto::Digest(b);
     }
-    ++stats_.corrupted;
-    obs_corrupted_.inc();
+    corrupted_.inc();
     return copy;
   }
   if (const auto* chunk = dynamic_cast<const proto::StateChunkMsg*>(payload.get())) {
@@ -201,8 +196,7 @@ sim::PayloadPtr ByzantineInterposer::corrupt_chunk(const sim::PayloadPtr& payloa
       b[0] ^= 0xFF;
       copy->exec_digest = crypto::Digest(b);
     }
-    ++stats_.corrupted;
-    obs_corrupted_.inc();
+    corrupted_.inc();
     return copy;
   }
   return nullptr;
@@ -219,8 +213,7 @@ void ByzantineInterposer::apply_garbage(protocol::Action action, protocol::Env& 
 
 void ByzantineInterposer::apply_laggard(protocol::Action action, protocol::Env& inner) {
   held_.push_back(HeldAction{inner.now() + opts_.lag, std::move(action)});
-  ++stats_.delayed;
-  obs_delayed_.inc();
+  delayed_.inc();
   if (!flush_armed_) {
     // held_ is FIFO with a constant lag, so the front is always the earliest.
     inner.apply(protocol::SetTimer{kChaosTimerBit, opts_.lag});

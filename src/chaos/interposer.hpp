@@ -62,13 +62,6 @@ struct InterposerOptions {
 
 class ByzantineInterposer final : public protocol::Protocol {
  public:
-  struct Stats {
-    std::uint64_t equivocations = 0;  // twin proposals emitted
-    std::uint64_t suppressed = 0;     // sends silently dropped
-    std::uint64_t corrupted = 0;      // chunks garbled before sending
-    std::uint64_t delayed = 0;        // sends held by the laggard
-  };
-
   ByzantineInterposer(std::unique_ptr<protocol::Protocol> core,
                       const crypto::ThresholdScheme& scheme, InterposerOptions opts);
 
@@ -85,7 +78,6 @@ class ByzantineInterposer final : public protocol::Protocol {
   [[nodiscard]] sim::PayloadPtr filter_deployment_send(protocol::NodeId to,
                                                        sim::PayloadPtr payload);
 
-  [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const protocol::Protocol& inner() const { return *core_; }
 
  private:
@@ -120,13 +112,13 @@ class ByzantineInterposer final : public protocol::Protocol {
   std::unique_ptr<protocol::Protocol> core_;
   const crypto::ThresholdScheme& scheme_;
   InterposerOptions opts_;
-  Stats stats_;
-  // Mirrors of stats_ in the global registry (labeled by attack and kind) so
-  // an attacked node's /metrics shows the byzantine activity live.
-  obs::Counter obs_equivocations_;
-  obs::Counter obs_suppressed_;
-  obs::Counter obs_corrupted_;
-  obs::Counter obs_delayed_;
+  // The attack's only count: `leopard_chaos_byz_actions_total{attack,kind}`
+  // in the global registry. Every interposer of a process with the same
+  // attack shares these series, so a sharded node reports one total.
+  obs::Counter equivocations_;  // twin proposals emitted
+  obs::Counter suppressed_;     // sends silently dropped
+  obs::Counter corrupted_;      // chunks garbled before sending
+  obs::Counter delayed_;        // sends held by the laggard
   std::deque<HeldAction> held_;
   bool flush_armed_ = false;
 };

@@ -868,11 +868,7 @@ std::vector<SocketEnv::PeerSnapshot> SocketEnv::peer_snapshots() const {
 }
 
 void SocketEnv::register_observability(obs::Registry& registry) {
-  const struct {
-    const char* name;
-    const char* help;
-    const std::uint64_t* field;
-  } kCounters[] = {
+  registry.counter_fields({
       {"leopard_net_frames_sent_total", "Frames written to peer connections",
        &stats_.frames_sent},
       {"leopard_net_bytes_sent_total", "Wire bytes written to peer connections",
@@ -896,11 +892,7 @@ void SocketEnv::register_observability(obs::Registry& registry) {
        &stats_.payload_copies},
       {"leopard_net_frames_shared_total",
        "Broadcast enqueues aliasing an existing frame body", &stats_.frames_shared},
-  };
-  for (const auto& c : kCounters) {
-    registry.counter_fn(c.name, c.help, {},
-                        [field = c.field] { return static_cast<double>(*field); });
-  }
+  });
 
   registry.gauge_fn("leopard_net_send_queue_bytes",
                     "Outbound bytes queued across all peer links", {}, [this] {
@@ -922,21 +914,14 @@ void SocketEnv::register_observability(obs::Registry& registry) {
   };
   for (const auto& [id, peer] : peers_) {
     const auto pid = id;
-    registry.counter_fn("leopard_net_peer_shed_frames_total",
-                        "Frames dropped toward one peer", peer_label(pid), [this, pid] {
-                          const auto it = peer_counters_.find(pid);
-                          return it == peer_counters_.end()
-                                     ? 0.0
-                                     : static_cast<double>(it->second.shed_frames);
-                        });
-    registry.counter_fn("leopard_net_peer_reconnects_total",
-                        "Dial retries scheduled toward one peer", peer_label(pid),
-                        [this, pid] {
-                          const auto it = peer_counters_.find(pid);
-                          return it == peer_counters_.end()
-                                     ? 0.0
-                                     : static_cast<double>(it->second.reconnect_attempts);
-                        });
+    // std::map nodes never move, so the callbacks may hold the counters.
+    const auto* counters = &peer_counters_[pid];
+    registry.counter_fn("leopard_net_peer_shed_frames_total", "Frames dropped toward one peer",
+                        peer_label(pid),
+                        [counters] { return static_cast<double>(counters->shed_frames); });
+    registry.counter_fn(
+        "leopard_net_peer_reconnects_total", "Dial retries scheduled toward one peer",
+        peer_label(pid), [counters] { return static_cast<double>(counters->reconnect_attempts); });
     registry.gauge_fn("leopard_net_peer_queue_bytes",
                       "Outbound bytes queued toward one peer", peer_label(pid),
                       [this, pid] {

@@ -212,16 +212,13 @@ class SocketEnv final : public protocol::Env {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Per-peer attribution of the aggregate counters above: which links shed
-  /// frames under pressure and which links flapped. Chaos tests assert these
-  /// are nonzero on attacked links; the SIGTERM report prints them so
-  /// oldest-first shedding is never silent.
+  /// frames under pressure and which links flapped. register_observability
+  /// exports them per replica peer (chaos tests assert them nonzero on
+  /// attacked links) so oldest-first shedding is never silent.
   struct PeerCounters {
     std::uint64_t shed_frames = 0;        // frames dropped toward this peer
     std::uint64_t reconnect_attempts = 0; // dial retries scheduled
   };
-  [[nodiscard]] const std::map<sim::NodeId, PeerCounters>& peer_counters() const {
-    return peer_counters_;
-  }
 
   /// The transport event loop. Observability endpoints (obs::HttpServer)
   /// register on it so scrape handlers run on the transport thread and may

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -45,6 +46,27 @@ std::string query_param(std::string_view query, std::string_view key) {
     pos = end + 1;
   }
   return {};
+}
+
+std::optional<std::uint64_t> parse_decimal(std::string_view text, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const auto* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end || value > max) return std::nullopt;
+  return value;
+}
+
+std::optional<HttpServer::Options> parse_listen_addr(std::string_view addr) {
+  HttpServer::Options opts;
+  const auto colon = addr.rfind(':');
+  if (colon != std::string_view::npos) {
+    if (colon > 0) opts.host = std::string(addr.substr(0, colon));
+    addr.remove_prefix(colon + 1);
+  }
+  const auto port = parse_decimal(addr, 65535);
+  if (!port) return std::nullopt;
+  opts.port = static_cast<std::uint16_t>(*port);
+  return opts;
 }
 
 HttpServer::HttpServer(net::EventLoop& loop, Options opts) : loop_(loop) {

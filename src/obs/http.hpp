@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -83,5 +84,15 @@ class HttpServer {
 
 /// Parses `key` out of a query string ("a=1&b=2"); empty when absent.
 [[nodiscard]] std::string query_param(std::string_view query, std::string_view key);
+
+/// `text` as an unsigned decimal no greater than `max`; nullopt when it is
+/// empty, holds anything but digits, or exceeds `max`.
+[[nodiscard]] std::optional<std::uint64_t> parse_decimal(std::string_view text,
+                                                         std::uint64_t max);
+
+/// A `--metrics-addr` value: "HOST:PORT", ":PORT" or "PORT" (the host
+/// defaults to 127.0.0.1; port 0 binds an ephemeral port). Nullopt when the
+/// port is not a decimal no greater than 65535.
+[[nodiscard]] std::optional<HttpServer::Options> parse_listen_addr(std::string_view addr);
 
 }  // namespace leopard::obs

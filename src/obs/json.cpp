@@ -91,15 +91,24 @@ JsonWriter& JsonWriter::value(std::string_view v) {
   return *this;
 }
 
+void append_number(std::string& out, double v, const char* fmt) {
+  char buf[32];
+  if (v >= 0 && v < 0x1p64 && v == static_cast<double>(static_cast<std::uint64_t>(v))) {
+    std::snprintf(buf, sizeof(buf), "%llu",
+                  static_cast<unsigned long long>(static_cast<std::uint64_t>(v)));
+  } else {
+    std::snprintf(buf, sizeof(buf), fmt, v);
+  }
+  out += buf;
+}
+
 JsonWriter& JsonWriter::value(double v) {
   before_value();
   if (!std::isfinite(v)) {
     out_ += "null";
     return *this;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out_ += buf;
+  append_number(out_, v);
   return *this;
 }
 

@@ -11,6 +11,10 @@
 
 namespace leopard::obs {
 
+/// Appends `v` as number text: a whole number in [0, 2^64) as an integer (no
+/// exponent, however large), anything else in printf format `fmt`.
+void append_number(std::string& out, double v, const char* fmt = "%.9g");
+
 class JsonWriter {
  public:
   JsonWriter& object_begin();
@@ -20,7 +24,7 @@ class JsonWriter {
   JsonWriter& key(std::string_view k);
   JsonWriter& value(std::string_view v);
   JsonWriter& value(const char* v) { return value(std::string_view(v)); }
-  JsonWriter& value(double v);
+  JsonWriter& value(double v);  // append_number text; non-finite as null
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(std::uint32_t v) { return value(static_cast<std::uint64_t>(v)); }

@@ -3,8 +3,10 @@
 #include <time.h>
 
 #include <algorithm>
+#include <array>
+#include <cctype>
 #include <cstdio>
-#include <map>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "util/check.hpp"
@@ -113,6 +115,18 @@ void Registry::counter_fn(const std::string& name, const std::string& help,
   intern(Kind::kCounterFn, name, help, labels, 0).fn = std::move(fn);
 }
 
+void Registry::counter_fields(std::initializer_list<FieldSeries> series) {
+  for (const auto& s : series) {
+    counter_fn(s.name, s.help, {}, [field = s.field] { return static_cast<double>(*field); });
+  }
+}
+
+void Registry::gauge_fields(std::initializer_list<FieldSeries> series) {
+  for (const auto& s : series) {
+    gauge_fn(s.name, s.help, {}, [field = s.field] { return static_cast<double>(*field); });
+  }
+}
+
 std::uint64_t Registry::sum_slot(std::uint32_t slot) const {
   std::uint64_t total = 0;
   for (const auto& block : blocks_) {
@@ -130,10 +144,14 @@ std::uint64_t Registry::counter_value(const Counter& c) {
 HistogramSnapshot Registry::histogram_snapshot(const Histogram& h) {
   util::expects(h.reg_ == this, "obs::Registry: histogram from another registry");
   std::lock_guard<std::mutex> lk(mu_);
+  return snapshot_locked(h.slot_);
+}
+
+HistogramSnapshot Registry::snapshot_locked(std::uint32_t slot) const {
   HistogramSnapshot snap;
   snap.buckets.assign(HdrLayout::kBuckets, 0);
   for (const auto& block : blocks_) {
-    const auto* base = block.slots.get() + h.slot_;
+    const auto* base = block.slots.get() + slot;
     for (std::uint32_t i = 0; i < HdrLayout::kBuckets; ++i) {
       const auto n = base[i].load(std::memory_order_relaxed);
       snap.buckets[i] += n;
@@ -143,6 +161,21 @@ HistogramSnapshot Registry::histogram_snapshot(const Histogram& h) {
     snap.max = std::max(snap.max, base[HdrLayout::kBuckets + 1].load(std::memory_order_relaxed));
   }
   return snap;
+}
+
+double Registry::scalar_locked(const Def& def) const {
+  if (def.kind == Kind::kCounter) return static_cast<double>(sum_slot(def.slot));
+  if (def.kind == Kind::kGauge) return def.cell->load(std::memory_order_relaxed);
+  return def.fn ? def.fn() : 0.0;  // callback series; histograms have no scalar
+}
+
+std::string flat_key(std::string_view statusz_key) {
+  std::string key;
+  for (const char c : statusz_key) {
+    if (c == '"') continue;
+    key += c == '=' ? ':' : std::isspace(static_cast<unsigned char>(c)) != 0 ? '_' : c;
+  }
+  return key;
 }
 
 namespace {
@@ -158,19 +191,31 @@ void append_series(std::string& out, const std::string& name, const std::string&
     out += extra_label;
     out += '}';
   }
-  char buf[64];
-  if (value == static_cast<double>(static_cast<std::uint64_t>(value)) && value >= 0) {
-    std::snprintf(buf, sizeof(buf), " %llu\n",
-                  static_cast<unsigned long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), " %.17g\n", value);
-  }
-  out += buf;
+  out += ' ';
+  append_number(out, value, "%.17g");
+  out += '\n';
 }
 
 const char* type_name(bool counter_like, bool histogram) {
   if (histogram) return "histogram";
   return counter_like ? "counter" : "gauge";
+}
+
+/// write_statusz's member key for a series: `name`, or `name{labels}`.
+std::string statusz_key(const std::string& name, const std::string& labels) {
+  return labels.empty() ? name : name + "{" + labels + "}";
+}
+
+/// The seven fields a histogram shows in /statusz and in the flat text.
+std::array<std::pair<const char*, double>, 7> histogram_fields(const HistogramSnapshot& snap) {
+  const auto p = [&](double q) { return static_cast<double>(snap.percentile(q)); };
+  return {{{"count", static_cast<double>(snap.count)},
+           {"mean", snap.mean()},
+           {"p50", p(0.50)},
+           {"p90", p(0.90)},
+           {"p99", p(0.99)},
+           {"p999", p(0.999)},
+           {"max", static_cast<double>(snap.max)}}};
 }
 
 }  // namespace
@@ -193,54 +238,28 @@ std::string Registry::render_prometheus() {
         out += "# TYPE " + family + " " +
                type_name(counter_like, def.kind == Kind::kHistogram) + "\n";
       }
-      switch (def.kind) {
-        case Kind::kCounter:
-          append_series(out, def.name, def.labels, "",
-                        {}, static_cast<double>(sum_slot(def.slot)));
-          break;
-        case Kind::kGauge:
-          append_series(out, def.name, def.labels, "", {},
-                        def.cell->load(std::memory_order_relaxed));
-          break;
-        case Kind::kCounterFn:
-        case Kind::kGaugeFn:
-          append_series(out, def.name, def.labels, "", {}, def.fn ? def.fn() : 0.0);
-          break;
-        case Kind::kHistogram: {
-          // Cumulative buckets coarsened to the power-of-two boundaries: the
-          // kSub sub-buckets inside each power of two nest exactly, so the
-          // cumulative count at le=2^e is exact.
-          std::uint64_t cum = 0;
-          std::uint64_t total = 0;
-          std::uint64_t sum = 0;
-          std::vector<std::uint64_t> agg(HdrLayout::kBuckets, 0);
-          for (const auto& block : blocks_) {
-            const auto* base = block.slots.get() + def.slot;
-            for (std::uint32_t i = 0; i < HdrLayout::kBuckets; ++i) {
-              agg[i] += base[i].load(std::memory_order_relaxed);
-            }
-            sum += base[HdrLayout::kBuckets].load(std::memory_order_relaxed);
-          }
-          std::uint32_t next = 0;
-          for (std::uint32_t e = HdrLayout::kSubBits; e < HdrLayout::kMaxBits; ++e) {
-            const auto boundary = HdrLayout::index_of(std::uint64_t{1} << e);
-            while (next < boundary) cum += agg[next++];
-            char le[32];
-            std::snprintf(le, sizeof(le), "le=\"%llu\"",
-                          static_cast<unsigned long long>(std::uint64_t{1} << e));
-            append_series(out, def.name, def.labels, "_bucket", le,
-                          static_cast<double>(cum));
-          }
-          while (next < HdrLayout::kBuckets) cum += agg[next++];
-          total = cum;
-          append_series(out, def.name, def.labels, "_bucket", "le=\"+Inf\"",
-                        static_cast<double>(total));
-          append_series(out, def.name, def.labels, "_sum", {}, static_cast<double>(sum));
-          append_series(out, def.name, def.labels, "_count", {},
-                        static_cast<double>(total));
-          break;
-        }
+      if (def.kind != Kind::kHistogram) {
+        append_series(out, def.name, def.labels, "", {}, scalar_locked(def));
+        continue;
       }
+      // Cumulative buckets coarsened to the power-of-two boundaries: the kSub
+      // sub-buckets inside each power of two nest exactly, so the cumulative
+      // count at le=2^e is exact.
+      const auto snap = snapshot_locked(def.slot);
+      std::uint64_t cum = 0;
+      std::uint32_t next = 0;
+      for (std::uint32_t e = HdrLayout::kSubBits; e < HdrLayout::kMaxBits; ++e) {
+        const auto boundary = HdrLayout::index_of(std::uint64_t{1} << e);
+        while (next < boundary) cum += snap.buckets[next++];
+        char le[32];
+        std::snprintf(le, sizeof(le), "le=\"%llu\"",
+                      static_cast<unsigned long long>(std::uint64_t{1} << e));
+        append_series(out, def.name, def.labels, "_bucket", le, static_cast<double>(cum));
+      }
+      append_series(out, def.name, def.labels, "_bucket", "le=\"+Inf\"",
+                    static_cast<double>(snap.count));
+      append_series(out, def.name, def.labels, "_sum", {}, static_cast<double>(snap.sum));
+      append_series(out, def.name, def.labels, "_count", {}, static_cast<double>(snap.count));
     }
   }
   return out;
@@ -250,48 +269,43 @@ void Registry::write_statusz(JsonWriter& w) {
   std::lock_guard<std::mutex> lk(mu_);
   w.object_begin();
   for (const auto& def : defs_) {
-    std::string key = def.name;
-    if (!def.labels.empty()) key += "{" + def.labels + "}";
-    w.key(key);
-    switch (def.kind) {
-      case Kind::kCounter:
-        w.value(sum_slot(def.slot));
-        break;
-      case Kind::kGauge:
-        w.value(def.cell->load(std::memory_order_relaxed));
-        break;
-      case Kind::kCounterFn:
-      case Kind::kGaugeFn:
-        w.value(def.fn ? def.fn() : 0.0);
-        break;
-      case Kind::kHistogram: {
-        HistogramSnapshot snap;
-        snap.buckets.assign(HdrLayout::kBuckets, 0);
-        for (const auto& block : blocks_) {
-          const auto* base = block.slots.get() + def.slot;
-          for (std::uint32_t i = 0; i < HdrLayout::kBuckets; ++i) {
-            const auto n = base[i].load(std::memory_order_relaxed);
-            snap.buckets[i] += n;
-            snap.count += n;
-          }
-          snap.sum += base[HdrLayout::kBuckets].load(std::memory_order_relaxed);
-          snap.max =
-              std::max(snap.max, base[HdrLayout::kBuckets + 1].load(std::memory_order_relaxed));
-        }
-        w.object_begin();
-        w.key("count").value(snap.count);
-        w.key("mean").value(snap.mean());
-        w.key("p50").value(snap.percentile(0.50));
-        w.key("p90").value(snap.percentile(0.90));
-        w.key("p99").value(snap.percentile(0.99));
-        w.key("p999").value(snap.percentile(0.999));
-        w.key("max").value(snap.max);
-        w.object_end();
-        break;
-      }
+    w.key(statusz_key(def.name, def.labels));
+    if (def.kind != Kind::kHistogram) {
+      w.value(scalar_locked(def));
+      continue;
     }
+    w.object_begin();
+    for (const auto& [name, value] : histogram_fields(snapshot_locked(def.slot))) {
+      w.key(name).value(value);
+    }
+    w.object_end();
   }
   w.object_end();
+}
+
+void Registry::write_flat(std::string& out) {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& def : defs_) {
+    const auto key = flat_key(statusz_key(def.name, def.labels));
+    if (def.kind != Kind::kHistogram) {
+      out += key;
+      out += '=';
+      append_number(out, scalar_locked(def));
+      out += '\n';
+      continue;
+    }
+    const char* sep = "";
+    for (const auto& [name, value] : histogram_fields(snapshot_locked(def.slot))) {
+      out += sep;
+      out += key;
+      out += '.';
+      out += name;
+      out += '=';
+      append_number(out, value);
+      sep = " ";
+    }
+    out += '\n';
+  }
 }
 
 }  // namespace leopard::obs

@@ -25,9 +25,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -40,6 +42,13 @@ namespace leopard::obs {
 
 class Registry;
 class JsonWriter;
+
+/// The flat-text key of a series (Registry::write_flat) from its /statusz
+/// `metrics` key (`name` or `name{labels}`): every '"' is dropped, every '='
+/// becomes ':' and every whitespace character becomes '_'. For example
+/// `leopard_net_peer_shed_frames_total{peer="3"}` becomes
+/// `leopard_net_peer_shed_frames_total{peer:3}`.
+[[nodiscard]] std::string flat_key(std::string_view statusz_key);
 
 class Counter {
  public:
@@ -126,6 +135,17 @@ class Registry {
   void counter_fn(const std::string& name, const std::string& help, const std::string& labels,
                   std::function<double()> fn);
 
+  /// Unlabeled callback series over plain stats fields: each reads `*field`
+  /// at scrape time, so the fields' owner must outlive every scrape and be
+  /// driven from the scraping thread.
+  struct FieldSeries {
+    const char* name;
+    const char* help;
+    const std::uint64_t* field;
+  };
+  void counter_fields(std::initializer_list<FieldSeries> series);
+  void gauge_fields(std::initializer_list<FieldSeries> series);
+
   [[nodiscard]] std::uint64_t counter_value(const Counter& c);
   [[nodiscard]] HistogramSnapshot histogram_snapshot(const Histogram& h);
 
@@ -136,8 +156,17 @@ class Registry {
 
   /// JSON object of every series: counters/gauges as numbers, histograms as
   /// {count,mean,p50,p90,p99,p999,max}. The writer must be positioned for a
-  /// value (this emits one object).
+  /// value (this emits one object). A series' member key is its name, plus
+  /// `{labels}` when it has labels.
   void write_statusz(JsonWriter& w);
+
+  /// The same series as write_statusz, appended to `out` as `key=value`
+  /// text, one series per line. The key is flat_key() of the series'
+  /// write_statusz key; a histogram prints one token per write_statusz
+  /// field, `key.count=… key.mean=… key.p50=… key.p90=… key.p99=… key.p999=…
+  /// key.max=…`. No key or value holds '=' or whitespace, so every token
+  /// splits at its first '='.
+  void write_flat(std::string& out);
 
   // -- record-path internals (public for the inline handle methods) ---------
   [[nodiscard]] std::atomic<std::uint64_t>* thread_slots() {
@@ -177,6 +206,9 @@ class Registry {
   static thread_local TlsRef tls_cache_[kTlsRefs];
 
   std::atomic<std::uint64_t>* thread_slots_slow();
+  // Scrape-time reads; callers hold mu_.
+  [[nodiscard]] HistogramSnapshot snapshot_locked(std::uint32_t slot) const;
+  [[nodiscard]] double scalar_locked(const Def& def) const;
   Def& intern(Kind kind, const std::string& name, const std::string& help,
               const std::string& labels, std::uint32_t slots_needed);
   [[nodiscard]] std::uint64_t sum_slot(std::uint32_t slot) const;  // callers hold mu_

@@ -118,8 +118,37 @@ RecoveryResult ReplicaStore::open(RecoverMode mode) {
   if (!res.ok()) {
     io().close(fd_);
     fd_ = -1;
+    return res;
   }
+  stats_.recovered_entries = res.entries;
+  stats_.recovered_snapshot_index = res.snapshot_index;
+  stats_.torn_bytes = res.torn_bytes;
+  stats_.corrupt_dropped = res.corrupt_dropped;
   return res;
+}
+
+void ReplicaStore::register_observability(obs::Registry& registry) {
+  registry.counter_fields({
+      {"leopard_store_appends_total", "WAL entries appended", &stats_.appends},
+      {"leopard_store_append_errors_total", "WAL appends that failed and rolled back",
+       &stats_.append_errors},
+      {"leopard_store_fsyncs_total", "WAL fsyncs issued", &stats_.fsyncs},
+      {"leopard_store_fsync_errors_total", "WAL fsyncs that failed", &stats_.fsync_errors},
+      {"leopard_store_snapshots_total", "Snapshots written", &stats_.snapshots_written},
+      {"leopard_store_snapshot_errors_total", "Snapshot writes that failed",
+       &stats_.snapshot_errors},
+  });
+  registry.gauge_fields({
+      {"leopard_store_recovered_entries", "WAL entries recovered at boot",
+       &stats_.recovered_entries},
+      {"leopard_store_recovered_snapshot_index", "Entries covered by the snapshot loaded at boot",
+       &stats_.recovered_snapshot_index},
+      {"leopard_store_torn_bytes", "Torn WAL tail bytes truncated at boot", &stats_.torn_bytes},
+      {"leopard_store_corrupt_dropped_bytes", "WAL bytes dropped by --recover truncate at boot",
+       &stats_.corrupt_dropped},
+  });
+  registry.gauge_fn("leopard_store_entries", "Entries in the WAL", {},
+                    [this] { return static_cast<double>(entries()); });
 }
 
 std::optional<ReplicaStore::Snapshot> ReplicaStore::load_best_snapshot(

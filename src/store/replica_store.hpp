@@ -40,6 +40,10 @@
 #include "store/store_io.hpp"
 #include "store/wal_record.hpp"
 
+namespace leopard::obs {
+class Registry;
+}  // namespace leopard::obs
+
 namespace leopard::store {
 
 enum class FsyncPolicy : std::uint8_t { kAlways, kInterval, kNever };
@@ -127,8 +131,18 @@ class ReplicaStore {
     std::uint64_t fsync_errors = 0;
     std::uint64_t snapshots_written = 0;
     std::uint64_t snapshot_errors = 0;
+    // What open() recovered (its RecoveryResult counts), fixed after open.
+    std::uint64_t recovered_entries = 0;
+    std::uint64_t recovered_snapshot_index = 0;
+    std::uint64_t torn_bytes = 0;
+    std::uint64_t corrupt_dropped = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
+
+  /// Registers the store's counters and recovery figures (`leopard_store_*`)
+  /// as scrape-time callbacks over stats(). The store must outlive every
+  /// scrape and be driven from the scraping thread.
+  void register_observability(obs::Registry& registry);
 
  private:
   struct Snapshot {

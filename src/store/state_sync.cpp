@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "net/timer_wheel.hpp"  // jittered()
+#include "obs/metrics.hpp"
 
 namespace leopard::store {
 
@@ -461,6 +462,29 @@ void StateSync::on_timer(std::uint64_t token, sim::SimTime now) {
     group_creates_.clear();
     begin_probe(now, /*backed_off=*/false);
   }
+}
+
+void StateSync::register_observability(obs::Registry& registry) {
+  registry.counter_fields({
+      {"leopard_sync_probes_sent_total", "State-transfer probes broadcast", &stats_.probes_sent},
+      {"leopard_sync_offers_sent_total", "Offers answered to peers' probes", &stats_.offers_sent},
+      {"leopard_sync_offers_received_total", "Offers received from peers",
+       &stats_.offers_received},
+      {"leopard_sync_pulls_sent_total", "Range pulls requested", &stats_.pulls_sent},
+      {"leopard_sync_pulls_served_total", "Range pulls served to peers", &stats_.pulls_served},
+      {"leopard_sync_chunks_received_total", "Erasure-coded range shards received",
+       &stats_.chunks_received},
+      {"leopard_sync_rounds_total", "Pull rounds applied", &stats_.rounds_completed},
+      {"leopard_sync_entries_total", "Entries applied by state transfer",
+       &stats_.entries_transferred},
+      {"leopard_sync_bytes_total", "Decoded range bytes applied", &stats_.bytes_transferred},
+      {"leopard_sync_verify_failures_total", "Transferred ranges that failed verification",
+       &stats_.verify_failures},
+      {"leopard_sync_duplicates_dropped_total", "Live executes dropped as already durable",
+       &stats_.duplicates_dropped},
+  });
+  registry.gauge_fields({{"leopard_sync_pending_peak",
+                          "Most live executes buffered while syncing", &stats_.pending_peak}});
 }
 
 }  // namespace leopard::store

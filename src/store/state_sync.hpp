@@ -155,6 +155,11 @@ class StateSync {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
+  /// Registers stats() as scrape-time callbacks (`leopard_sync_*`). The
+  /// StateSync must outlive every scrape and be driven from the scraping
+  /// thread.
+  void register_observability(obs::Registry& registry);
+
  private:
   enum class Mode : std::uint8_t { kProbing, kPulling, kLive };
 

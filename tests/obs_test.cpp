@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -210,6 +212,54 @@ TEST(Registry, CallbackSeriesEvaluateAtScrape) {
   EXPECT_NE(text.find("cb_total 9"), std::string::npos) << text;
 }
 
+TEST(Registry, FlatKeyDropsQuotesAndMapsEqualsAndWhitespace) {
+  EXPECT_EQ(obs::flat_key("leopard_net_frames_sent_total"), "leopard_net_frames_sent_total");
+  EXPECT_EQ(obs::flat_key("leopard_net_peer_shed_frames_total{peer=\"3\"}"),
+            "leopard_net_peer_shed_frames_total{peer:3}");
+  EXPECT_EQ(obs::flat_key("x{a=\"b c\",d=\"e=f\"}"), "x{a:b_c,d:e:f}");
+  EXPECT_EQ(obs::flat_key("x{a=\"tab\there\nnl\"}"), "x{a:tab_here_nl}");
+}
+
+TEST(Registry, WriteFlatRendersEverySeriesUnderTheKeyRule) {
+  obs::Registry reg;
+  reg.counter("flat_total", "c", "peer=\"3\"").inc(7);
+  reg.gauge("flat_gauge", "g").set(-1.5);
+  reg.counter_fn("flat_big_total", "c", {}, [] { return 1e12; });
+  reg.gauge_fn("flat_ratio", "g", "kind=\"a b\"", [] { return 2.25; });
+  auto hist = reg.histogram("flat_ns", "h", "stage=\"x\"");
+  for (std::uint64_t v : {10u, 100u, 1000u, 100000u}) hist.record(v);
+  const auto snap = reg.histogram_snapshot(hist);
+
+  std::string out;
+  reg.write_flat(out);
+  // Split the way report parsers do: whitespace-separated tokens, each at its
+  // first '='.
+  std::map<std::string, std::string> kv;
+  std::istringstream in(out);
+  std::string token;
+  while (in >> token) {
+    const auto eq = token.find('=');
+    ASSERT_NE(eq, std::string::npos) << token;
+    EXPECT_TRUE(kv.emplace(token.substr(0, eq), token.substr(eq + 1)).second) << token;
+  }
+  const std::map<std::string, std::string> expected = {
+      {"flat_total{peer:3}", "7"},
+      {"flat_gauge", "-1.5"},
+      {"flat_big_total", "1000000000000"},
+      {"flat_ratio{kind:a_b}", "2.25"},
+      {"flat_ns{stage:x}.count", "4"},
+      {"flat_ns{stage:x}.mean", "25277.5"},
+      {"flat_ns{stage:x}.p50", std::to_string(snap.percentile(0.50))},
+      {"flat_ns{stage:x}.p90", std::to_string(snap.percentile(0.90))},
+      {"flat_ns{stage:x}.p99", std::to_string(snap.percentile(0.99))},
+      {"flat_ns{stage:x}.p999", std::to_string(snap.percentile(0.999))},
+      {"flat_ns{stage:x}.max", "100000"},
+  };
+  EXPECT_EQ(kv, expected) << out;
+  // One line per series: the four scalars, then the histogram's seven fields.
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 5) << out;
+}
+
 TEST(Registry, ConcurrentRecordAndScrapeIsSafe) {
   // The tsan CI job runs this: writers hammer a counter + histogram while the
   // main thread scrapes both text and snapshots. Scrapes may tear (stale
@@ -359,6 +409,40 @@ TEST(HttpServer, QueryParamParsing) {
   EXPECT_EQ(obs::query_param("a=1&b=2", "c"), "");
   EXPECT_EQ(obs::query_param("", "a"), "");
   EXPECT_EQ(obs::query_param("flag", "flag"), "");
+}
+
+TEST(HttpServer, ParseDecimalAcceptsOnlyWholeBoundedDecimals) {
+  EXPECT_EQ(obs::parse_decimal("2", 10), 2u);
+  EXPECT_EQ(obs::parse_decimal("0", 10), 0u);
+  EXPECT_EQ(obs::parse_decimal("4294967295", UINT32_MAX), 4294967295u);
+  EXPECT_EQ(obs::parse_decimal("4294967296", UINT32_MAX), std::nullopt);
+  EXPECT_EQ(obs::parse_decimal("18446744073709551616", UINT64_MAX), std::nullopt);
+  for (const char* bad : {"", "2x", "x2", " 2", "2 ", "-1", "+1", "0x10", "1.0"}) {
+    EXPECT_EQ(obs::parse_decimal(bad, UINT64_MAX), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(HttpServer, ParseListenAddrKeepsTheThreeFormsAndRejectsBadPorts) {
+  const auto full = obs::parse_listen_addr("10.0.0.7:9100");
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->host, "10.0.0.7");
+  EXPECT_EQ(full->port, 9100);
+  const auto port_only = obs::parse_listen_addr(":9200");
+  ASSERT_TRUE(port_only.has_value());
+  EXPECT_EQ(port_only->host, "127.0.0.1");
+  EXPECT_EQ(port_only->port, 9200);
+  const auto bare = obs::parse_listen_addr("65535");
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_EQ(bare->host, "127.0.0.1");
+  EXPECT_EQ(bare->port, 65535);
+  const auto ephemeral = obs::parse_listen_addr(":0");
+  ASSERT_TRUE(ephemeral.has_value());
+  EXPECT_EQ(ephemeral->port, 0);
+  // :99999 used to truncate to port 34463, :abc to bind an ephemeral port.
+  for (const char* bad : {":99999", "65536", ":abc", "abc", "127.0.0.1:9100x", ":9100 ",
+                          "127.0.0.1:", ":", "", ":-1", "host:+80"}) {
+    EXPECT_FALSE(obs::parse_listen_addr(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 // --- StageTracer ------------------------------------------------------------

@@ -8,171 +8,23 @@
 // the sanitize workflow.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#ifndef LEOPARD_NODE_BIN
-#error "CMake must define LEOPARD_NODE_BIN (path to the leopard_node binary)"
-#endif
+#include "obs/metrics.hpp"
+#include "wire_fixture.hpp"
 
 namespace {
 
-/// Picks `count` distinct free ports, holding every probe socket open until
-/// all are chosen so the kernel cannot hand the same ephemeral port twice.
-/// (The window between closing and the daemon rebinding is still racy in
-/// principle, but just-released ephemeral ports are not reused eagerly.)
-std::vector<std::uint16_t> pick_free_ports(std::size_t count) {
-  std::vector<int> fds;
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < count; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    ports.push_back(ntohs(addr.sin_port));
-    fds.push_back(fd);
-  }
-  for (const int fd : fds) ::close(fd);
-  return ports;
-}
-
-std::string temp_dir() {
-  char tmpl[] = "/tmp/leopard_cluster_XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-std::string write_manifest(const std::string& dir, const std::string& protocol,
-                           const std::vector<std::uint16_t>& ports,
-                           std::uint32_t shards = 1) {
-  const auto path = dir + "/cluster.conf";
-  std::ofstream out(path);
-  out << "protocol " << protocol << "\n"
-      << "n " << ports.size() << "\n"
-      << "seed 7\n"
-      << "payload_size 64\n"
-      << "datablock_requests 50\n"
-      << "bftblock_links 4\n"
-      << "max_parallel_instances 40\n"
-      << "datablock_max_wait_ms 20\n"
-      << "proposal_max_wait_ms 10\n"
-      << "retrieval_timeout_ms 20\n"
-      << "view_timeout_ms 60000\n"   // generous: no spurious view changes under ASan
-      << "batch_size 50\n"
-      << "shards " << shards << "\n";
-  for (std::size_t id = 0; id < ports.size(); ++id) {
-    out << "node " << id << " 127.0.0.1:" << ports[id] << "\n";
-  }
-  return path;
-}
-
-pid_t spawn_node(const std::string& manifest, const std::string& out_path,
-                 std::vector<std::string> extra_args) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  // Child: redirect stdout+stderr to the report file and exec the daemon.
-  const int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  ::dup2(fd, 1);
-  ::dup2(fd, 2);
-  ::close(fd);
-  std::vector<std::string> args = {LEOPARD_NODE_BIN, "--manifest", manifest};
-  for (auto& a : extra_args) args.push_back(std::move(a));
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (auto& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(LEOPARD_NODE_BIN, argv.data());
-  std::perror("execv leopard_node");
-  ::_exit(127);
-}
-
-int wait_exit(pid_t pid) {
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
-}
-
-/// Parses a key=value report (whitespace-separated tokens across lines).
-std::map<std::string, std::string> parse_report(const std::string& path) {
-  std::ifstream in(path);
-  std::map<std::string, std::string> kv;
-  std::string token;
-  while (in >> token) {
-    const auto eq = token.find('=');
-    if (eq != std::string::npos) kv[token.substr(0, eq)] = token.substr(eq + 1);
-  }
-  return kv;
-}
-
-/// Kills every tracked pid on scope exit so a failed ASSERT cannot leak a
-/// daemon into later tests.
-struct ReplicaSet {
-  std::vector<pid_t> pids;       // index = replica id; -1 when not running
-  std::vector<std::string> outs;
-
-  ~ReplicaSet() {
-    for (const auto pid : pids) {
-      if (pid > 0) ::kill(pid, SIGKILL);
-    }
-    for (const auto pid : pids) {
-      if (pid > 0) ::waitpid(pid, nullptr, 0);
-    }
-  }
-
-  /// `data_dir` non-empty enables the durable store (and boot recovery when
-  /// the directory already holds a WAL from a previous incarnation).
-  /// `extra_args` go to the daemon verbatim (e.g. {"--io-threads", "2"}).
-  void start(std::size_t id, const std::string& manifest, const std::string& dir,
-             const std::string& data_dir = "",
-             std::vector<std::string> extra_args = {}) {
-    outs.resize(std::max(outs.size(), id + 1));
-    pids.resize(std::max(pids.size(), id + 1), -1);
-    outs[id] = dir + "/replica" + std::to_string(id) + "_" +
-               std::to_string(::getpid()) + "_" + std::to_string(next_out_++) + ".out";
-    std::vector<std::string> args = {"--id", std::to_string(id)};
-    if (!data_dir.empty()) {
-      args.push_back("--data-dir");
-      args.push_back(data_dir);
-    }
-    for (auto& a : extra_args) args.push_back(std::move(a));
-    pids[id] = spawn_node(manifest, outs[id], std::move(args));
-  }
-
-  /// SIGTERM + reap: the daemon prints its report on the way out.
-  int stop(std::size_t id) {
-    ::kill(pids[id], SIGTERM);
-    const int rc = wait_exit(pids[id]);
-    pids[id] = -1;
-    return rc;
-  }
-
-  void kill_hard(std::size_t id) {
-    ::kill(pids[id], SIGKILL);
-    ::waitpid(pids[id], nullptr, 0);
-    pids[id] = -1;
-  }
-
- private:
-  int next_out_ = 0;
-};
+using namespace leopard::wiretest;
 
 /// Blocking one-shot HTTP GET against a daemon's observability endpoint.
 /// Empty string on connect/read failure (caller retries — the endpoint comes
@@ -220,19 +72,62 @@ double scrape_value(const std::string& body, const std::string& name) {
   return -1.0;
 }
 
-int run_client(const std::string& manifest, const std::string& out_path, std::uint32_t id,
-               std::uint32_t requests, std::uint32_t resubmit_ms = 1000) {
-  const pid_t pid = spawn_node(manifest, out_path,
-                               {"--client", "--id", std::to_string(id), "--requests",
-                                std::to_string(requests), "--window", "32", "--timeout",
-                                "90", "--resubmit-ms", std::to_string(resubmit_ms)});
-  return wait_exit(pid);
+/// The member keys of a /statusz body: its top-level fields, and the series
+/// keys of its `metrics` object. A scanner, not a parser: it relies on the
+/// body being well-formed JSON whose strings escape only '"' and '\\'.
+struct StatuszKeys {
+  std::set<std::string> fields;
+  std::set<std::string> series;
+};
+StatuszKeys statusz_keys(const std::string& json) {
+  StatuszKeys keys;
+  std::vector<std::string> open;  // per open container: the key it is the value of
+  std::string last_key;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '{' || c == '[') {
+      open.push_back(last_key);
+      last_key.clear();
+    } else if (c == '}' || c == ']') {
+      open.pop_back();
+    } else if (c == '"') {
+      std::string text;
+      for (++i; i < json.size() && json[i] != '"'; ++i) {
+        if (json[i] == '\\') ++i;
+        text += json[i];
+      }
+      if (i + 1 < json.size() && json[i + 1] == ':') {
+        last_key = text;
+        if (open.size() == 1) keys.fields.insert(text);
+        if (open.size() == 2 && open[1] == "metrics") keys.series.insert(text);
+      }
+    }
+  }
+  return keys;
+}
+
+/// Every key of a shutdown report must be readable live: a /statusz field of
+/// the same name, or a /statusz series whose obs::flat_key is the key (for a
+/// histogram, the key minus its `.count`/`.p50`/... suffix). Values may differ.
+void expect_report_keys_in_statusz(const Report& report, const std::string& statusz,
+                                   const std::string& who) {
+  const auto keys = statusz_keys(statusz);
+  ASSERT_FALSE(keys.fields.empty()) << who << ": no /statusz fields";
+  ASSERT_FALSE(keys.series.empty()) << who << ": no /statusz series";
+  std::set<std::string> flat;
+  for (const auto& series : keys.series) flat.insert(leopard::obs::flat_key(series));
+  for (const auto& [key, value] : report) {
+    const auto dot = key.rfind('.');
+    const bool found = keys.fields.contains(key) || flat.contains(key) ||
+                       (dot != std::string::npos && flat.contains(key.substr(0, dot)));
+    EXPECT_TRUE(found) << who << " report key '" << key << "' is not in /statusz";
+  }
 }
 
 void expect_cluster_commits(const std::string& protocol) {
   const auto dir = temp_dir();
   const auto ports = pick_free_ports(4);
-  const auto manifest = write_manifest(dir, protocol, ports);
+  const auto manifest = write_manifest(dir, ports, {.protocol = protocol});
 
   ReplicaSet cluster;
   for (std::size_t id = 0; id < 4; ++id) {
@@ -256,11 +151,7 @@ void expect_cluster_commits(const std::string& protocol) {
   ::usleep(500 * 1000);
 
   // Clean shutdown: every replica exits 0 on SIGTERM and reports a digest.
-  std::vector<std::map<std::string, std::string>> reports;
-  for (std::size_t id = 0; id < 4; ++id) {
-    EXPECT_EQ(cluster.stop(id), 0) << "replica " << id << " did not exit cleanly";
-    reports.push_back(parse_report(cluster.outs[id]));
-  }
+  const auto reports = cluster.stop_all(4);
   for (std::size_t id = 0; id < 4; ++id) {
     ASSERT_TRUE(reports[id].contains("exec_digest")) << "replica " << id;
     EXPECT_EQ(reports[id].at("exec_digest"), reports[0].at("exec_digest"))
@@ -268,7 +159,7 @@ void expect_cluster_commits(const std::string& protocol) {
     EXPECT_GE(std::stoull(reports[id].at("executed_requests")), 300u) << "replica " << id;
     EXPECT_EQ(reports[id].at("decode_errors"), "0") << "replica " << id;
     // The WAL recorded the executed stream, cleanly.
-    EXPECT_GT(std::stoull(reports[id].at("store_entries")), 0u) << "replica " << id;
+    EXPECT_GT(std::stoull(reports[id].at("leopard_store_entries")), 0u) << "replica " << id;
     EXPECT_EQ(reports[id].at("store_append_errors"), "0") << "replica " << id;
     EXPECT_EQ(reports[id].at("sync_live"), "1") << "replica " << id;
     // One shard: the sequencer passes records through, so the stall tick
@@ -291,16 +182,40 @@ TEST(SocketCluster, HotStuffCommitsEndToEnd) { expect_cluster_commits("hotstuff"
 
 TEST(SocketCluster, PbftCommitsEndToEnd) { expect_cluster_commits("pbft"); }
 
+TEST(SocketCluster, DaemonRejectsMalformedIdAndMetricsAddr) {
+  // Usage errors exit 2 before the node binds anything: `--id 2x` used to
+  // start replica 2, `:99999` to listen on port 34463 and `:abc` on an
+  // ephemeral port.
+  const auto dir = temp_dir();
+  const auto manifest = write_manifest(dir, pick_free_ports(4));
+  const std::vector<std::vector<std::string>> bad = {
+      {"--id", "2x"},
+      {"--id", ""},
+      {"--id", "1", "--metrics-addr", "127.0.0.1:99999"},
+      {"--id", "1", "--metrics-addr", ":abc"},
+      {"--id", "1", "--metrics-addr", "9100junk"},
+  };
+  for (const auto& extra : bad) {
+    std::vector<std::string> args = {"--manifest", manifest, "--run-for", "0"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    const auto out = dir + "/bad.out";
+    EXPECT_EQ(wait_exit(spawn_process(LEOPARD_NODE_BIN, out, args)), 2)
+        << extra.back();
+  }
+}
+
 TEST(SocketCluster, LiveObservabilityEndpointsServeAllThreeRoutes) {
   // End-to-end scrape: every replica runs with --metrics-addr and must answer
   // /healthz, /metrics (well-formed Prometheus text), and /statusz (JSON)
   // while committing. The executed-height gauge must be monotone across
-  // scrapes and reach the client's total.
+  // scrapes and reach the client's total, and every key of a replica's and
+  // a client's shutdown report must be on the /statusz it served last.
   const auto dir = temp_dir();
-  const auto ports = pick_free_ports(8);
+  const auto ports = pick_free_ports(9);
   const std::vector<std::uint16_t> node_ports(ports.begin(), ports.begin() + 4);
-  const std::vector<std::uint16_t> obs_ports(ports.begin() + 4, ports.end());
-  const auto manifest = write_manifest(dir, "leopard", node_ports);
+  const std::vector<std::uint16_t> obs_ports(ports.begin() + 4, ports.begin() + 8);
+  const std::uint16_t client_obs_port = ports[8];
+  const auto manifest = write_manifest(dir, node_ports);
 
   ReplicaSet cluster;
   for (std::size_t id = 0; id < 4; ++id) {
@@ -404,7 +319,35 @@ TEST(SocketCluster, LiveObservabilityEndpointsServeAllThreeRoutes) {
             300.0)
       << "designated observer undercounted executions";
 
-  for (std::size_t id = 0; id < 4; ++id) EXPECT_EQ(cluster.stop(id), 0) << id;
+  // A client's report is a subset of its /statusz too: run one that cannot
+  // finish, scrape it while it commits, then SIGTERM it for its report.
+  const auto load_out = dir + "/client_load.out";
+  const pid_t load = spawn_process(
+      LEOPARD_NODE_BIN, load_out,
+      {"--manifest", manifest, "--client", "--id", "101", "--requests", "1000000", "--window",
+       "32", "--timeout", "90", "--metrics-addr",
+       "127.0.0.1:" + std::to_string(client_obs_port)});
+  std::string client_statusz;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    client_statusz = http_body(http_get(client_obs_port, "/statusz"));
+    if (!client_statusz.empty() && client_statusz.find("\"acked\":0,") == std::string::npos) {
+      break;
+    }
+    ::usleep(100 * 1000);
+  }
+  ::kill(load, SIGTERM);
+  wait_exit(load);
+  EXPECT_NE(client_statusz.find("\"role\":\"client\""), std::string::npos);
+  expect_report_keys_in_statusz(parse_report(load_out), client_statusz, "client");
+
+  // Each replica's report is a subset of the /statusz it served just before
+  // SIGTERM.
+  for (std::size_t id = 0; id < 4; ++id) {
+    const auto statusz = http_body(http_get(obs_ports[id], "/statusz"));
+    EXPECT_EQ(cluster.stop(id), 0) << id;
+    expect_report_keys_in_statusz(parse_report(cluster.outs[id]), statusz,
+                                  "replica " + std::to_string(id));
+  }
 }
 
 // Two protocol shards multiplexed over the same TCP connections: every
@@ -414,7 +357,7 @@ TEST(SocketCluster, LiveObservabilityEndpointsServeAllThreeRoutes) {
 TEST(SocketCluster, ShardedLeopardCommitsEndToEnd) {
   const auto dir = temp_dir();
   const auto ports = pick_free_ports(4);
-  const auto manifest = write_manifest(dir, "leopard", ports, /*shards=*/2);
+  const auto manifest = write_manifest(dir, ports, {.shards = 2});
 
   ReplicaSet cluster;
   for (std::size_t id = 0; id < 4; ++id) {
@@ -432,11 +375,7 @@ TEST(SocketCluster, ShardedLeopardCommitsEndToEnd) {
   // fill so every real commit reaches the merged stream before the snapshot.
   ::usleep(1000 * 1000);
 
-  std::vector<std::map<std::string, std::string>> reports;
-  for (std::size_t id = 0; id < 4; ++id) {
-    EXPECT_EQ(cluster.stop(id), 0) << "replica " << id << " did not exit cleanly";
-    reports.push_back(parse_report(cluster.outs[id]));
-  }
+  const auto reports = cluster.stop_all(4);
   for (std::size_t id = 0; id < 4; ++id) {
     ASSERT_TRUE(reports[id].contains("exec_digest")) << "replica " << id;
     EXPECT_EQ(reports[id].at("shards"), "2") << "replica " << id;
@@ -468,7 +407,7 @@ TEST(SocketCluster, ShardedLeopardCommitsEndToEnd) {
 TEST(SocketCluster, ShardedLeopardCommitsWithIoThreads) {
   const auto dir = temp_dir();
   const auto ports = pick_free_ports(4);
-  const auto manifest = write_manifest(dir, "leopard", ports, /*shards=*/2);
+  const auto manifest = write_manifest(dir, ports, {.shards = 2});
 
   ReplicaSet cluster;
   for (std::size_t id = 0; id < 4; ++id) {
@@ -483,11 +422,7 @@ TEST(SocketCluster, ShardedLeopardCommitsWithIoThreads) {
 
   ::usleep(1000 * 1000);
 
-  std::vector<std::map<std::string, std::string>> reports;
-  for (std::size_t id = 0; id < 4; ++id) {
-    EXPECT_EQ(cluster.stop(id), 0) << "replica " << id << " did not exit cleanly";
-    reports.push_back(parse_report(cluster.outs[id]));
-  }
+  const auto reports = cluster.stop_all(4);
   for (std::size_t id = 0; id < 4; ++id) {
     ASSERT_TRUE(reports[id].contains("exec_digest")) << "replica " << id;
     EXPECT_EQ(reports[id].at("io_threads"), "2") << "replica " << id << ": min(N, S) workers";
@@ -510,7 +445,7 @@ TEST(SocketCluster, ShardedLeopardCommitsWithIoThreads) {
 TEST(SocketCluster, ShardedLeopardSurvivesKilledAndRestartedFollower) {
   const auto dir = temp_dir();
   const auto ports = pick_free_ports(4);
-  const auto manifest = write_manifest(dir, "leopard", ports, /*shards=*/2);
+  const auto manifest = write_manifest(dir, ports, {.shards = 2});
 
   const auto data_dir = [&](std::size_t id) { return dir + "/data" + std::to_string(id); };
   ReplicaSet cluster;
@@ -531,11 +466,7 @@ TEST(SocketCluster, ShardedLeopardSurvivesKilledAndRestartedFollower) {
   // Settle: state-transfer rounds for the restarted follower plus stall
   // ticks flushing the trailing rounds of both shards.
   ::usleep(2000 * 1000);
-  std::vector<std::map<std::string, std::string>> reports;
-  for (std::size_t id = 0; id < 4; ++id) {
-    EXPECT_EQ(cluster.stop(id), 0) << "replica " << id;
-    reports.push_back(parse_report(cluster.outs[id]));
-  }
+  const auto reports = cluster.stop_all(4);
   for (std::size_t id = 1; id < 4; ++id) {
     ASSERT_TRUE(reports[id].contains("exec_digest")) << "replica " << id;
     EXPECT_EQ(reports[id].at("exec_digest"), reports[0].at("exec_digest"))
@@ -547,9 +478,9 @@ TEST(SocketCluster, ShardedLeopardSurvivesKilledAndRestartedFollower) {
   // The restarted follower exercised recovery AND state transfer against the
   // MERGED stream (global coordinates are the durable-commit identity).
   const auto& follower = reports[3];
-  EXPECT_GT(std::stoull(follower.at("store_recovered_entries")), 0u)
+  EXPECT_GT(std::stoull(follower.at("leopard_store_recovered_entries")), 0u)
       << "restart did not recover from the WAL";
-  EXPECT_GT(std::stoull(follower.at("sync_entries")), 0u)
+  EXPECT_GT(std::stoull(follower.at("leopard_sync_entries_total")), 0u)
       << "restart did not use state transfer to fill the gap";
   EXPECT_EQ(follower.at("sync_live"), "1");
   EXPECT_EQ(follower.at("sync_verify_failures"), "0");
@@ -558,7 +489,7 @@ TEST(SocketCluster, ShardedLeopardSurvivesKilledAndRestartedFollower) {
 TEST(SocketCluster, LeopardSurvivesKilledAndRestartedFollower) {
   const auto dir = temp_dir();
   const auto ports = pick_free_ports(4);
-  const auto manifest = write_manifest(dir, "leopard", ports);
+  const auto manifest = write_manifest(dir, ports);
 
   const auto data_dir = [&](std::size_t id) { return dir + "/data" + std::to_string(id); };
   ReplicaSet cluster;
@@ -584,11 +515,7 @@ TEST(SocketCluster, LeopardSurvivesKilledAndRestartedFollower) {
   // Settle long enough for the follower's final catch-up round after the
   // load quiesces (probe/pull cycles run at network speed once offers land).
   ::usleep(2000 * 1000);
-  std::vector<std::map<std::string, std::string>> reports;
-  for (std::size_t id = 0; id < 4; ++id) {
-    EXPECT_EQ(cluster.stop(id), 0) << "replica " << id;
-    reports.push_back(parse_report(cluster.outs[id]));
-  }
+  const auto reports = cluster.stop_all(4);
   // ALL FOUR replicas — including the killed-and-restarted one — agree on
   // the executed stream. This is the acceptance bar for durable state: the
   // follower's digest now folds phase 1 (recovered), phase 2 (transferred),
@@ -606,9 +533,9 @@ TEST(SocketCluster, LeopardSurvivesKilledAndRestartedFollower) {
   // The follower actually exercised both recovery paths: a non-empty WAL
   // prefix reloaded at boot, and entries pulled from peers.
   const auto& follower = reports[3];
-  EXPECT_GT(std::stoull(follower.at("store_recovered_entries")), 0u)
+  EXPECT_GT(std::stoull(follower.at("leopard_store_recovered_entries")), 0u)
       << "restart did not recover from the WAL";
-  EXPECT_GT(std::stoull(follower.at("sync_entries")), 0u)
+  EXPECT_GT(std::stoull(follower.at("leopard_sync_entries_total")), 0u)
       << "restart did not use state transfer to fill the gap";
   EXPECT_EQ(follower.at("sync_live"), "1");
   EXPECT_EQ(follower.at("sync_verify_failures"), "0");

@@ -3,8 +3,9 @@
 // append/recovery round trips, a crash-point sweep
 // truncating the log at every byte offset, corruption vs torn-tail handling,
 // fault injection through the StoreIo seam (short writes, ENOSPC, fsync and
-// rename failures), snapshot generations + GC, and replay determinism
-// (store/replica_store.hpp).
+// rename failures), snapshot generations + GC, replay determinism
+// (store/replica_store.hpp), and the registry series of the store and of
+// state transfer.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,11 +13,14 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "proto/messages.hpp"
 #include "store/crc32c.hpp"
 #include "store/replica_store.hpp"
@@ -157,6 +161,20 @@ StoreOptions options(const std::string& dir, store::StoreIo* io = nullptr) {
   opts.snapshot_every = 0;  // snapshots off unless a test opts in
   opts.io = io;
   return opts;
+}
+
+/// Registry::write_flat of `reg`, as key -> value text.
+std::map<std::string, std::string> flat_series(obs::Registry& reg) {
+  std::string text;
+  reg.write_flat(text);
+  std::map<std::string, std::string> kv;
+  std::istringstream in(text);
+  std::string token;
+  while (in >> token) {
+    const auto eq = token.find('=');
+    if (eq != std::string::npos) kv[token.substr(0, eq)] = token.substr(eq + 1);
+  }
+  return kv;
 }
 
 }  // namespace
@@ -634,6 +652,32 @@ TEST(Store, FsyncPolicyCountingAndFailure) {
   }
 }
 
+TEST(Store, RegisteredSeriesReadStatsAndRecoveryAtScrapeTime) {
+  const auto dir = temp_dir();
+  {
+    ReplicaStore store(options(dir));
+    ASSERT_TRUE(store.open(RecoverMode::kStrict).ok());
+    append_entries(store, 5, 1, crypto::Digest{});
+  }
+  ReplicaStore store(options(dir));
+  ASSERT_TRUE(store.open(RecoverMode::kStrict).ok());
+  obs::Registry reg;
+  store.register_observability(reg);
+  auto kv = flat_series(reg);
+  EXPECT_EQ(kv.at("leopard_store_recovered_entries"), "5");
+  EXPECT_EQ(kv.at("leopard_store_entries"), "5");
+  EXPECT_EQ(kv.at("leopard_store_appends_total"), "0");
+  EXPECT_EQ(kv.at("leopard_store_torn_bytes"), "0");
+
+  append_entries(store, 2, 6, store.exec_digest());
+  kv = flat_series(reg);
+  EXPECT_EQ(kv.at("leopard_store_entries"), "7");
+  EXPECT_EQ(kv.at("leopard_store_appends_total"), "2");
+  EXPECT_EQ(kv.at("leopard_store_fsyncs_total"), "2") << "kAlways syncs every append";
+  EXPECT_EQ(kv.at("leopard_store_append_errors_total"), "0");
+  EXPECT_EQ(kv.at("leopard_store_recovered_entries"), "5");
+}
+
 TEST(Store, SnapshotGenerationsGcAndRecovery) {
   const auto dir = temp_dir();
   crypto::Digest expect;
@@ -927,4 +971,23 @@ TEST(StateSyncByzantine, ForgedGroupFloodIsBoundedAndHarmless) {
   // Single-chunk forged groups never reach f+1 shards, so no decode was even
   // attempted against them.
   EXPECT_EQ(client->sync->stats().verify_failures, 0u);
+}
+
+TEST(StateSync, RegisteredSeriesReadStatsAtScrapeTime) {
+  crypto::Digest expect;
+  auto client = run_sync_under_attack(
+      [](const proto::StateChunkMsg&) { return std::vector<sim::PayloadPtr>{}; }, &expect);
+  ASSERT_TRUE(client->sync->live());
+  obs::Registry reg;
+  client->sync->register_observability(reg);
+  const auto kv = flat_series(reg);
+  const auto& st = client->sync->stats();
+  EXPECT_EQ(kv.at("leopard_sync_entries_total"), "6");
+  EXPECT_EQ(kv.at("leopard_sync_rounds_total"), std::to_string(st.rounds_completed));
+  EXPECT_EQ(kv.at("leopard_sync_probes_sent_total"), std::to_string(st.probes_sent));
+  EXPECT_EQ(kv.at("leopard_sync_chunks_received_total"), std::to_string(st.chunks_received));
+  EXPECT_EQ(kv.at("leopard_sync_bytes_total"), std::to_string(st.bytes_transferred));
+  EXPECT_EQ(kv.at("leopard_sync_verify_failures_total"), "0");
+  EXPECT_GT(st.probes_sent, 0u);
+  EXPECT_GT(st.bytes_transferred, 0u);
 }

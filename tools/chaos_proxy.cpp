@@ -43,6 +43,7 @@
 #include <deque>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,7 @@ struct Options {
   std::uint64_t seed = 1;
   double run_for = -1;
   std::string report_path;
-  std::string metrics_addr;  // HOST:PORT (or :PORT / PORT); empty disables
+  std::optional<lp::obs::HttpServer::Options> metrics_addr;  // unset disables
 };
 
 struct Stats {
@@ -164,7 +165,11 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--report") {
       opts.report_path = next();
     } else if (arg == "--metrics-addr") {
-      opts.metrics_addr = next();
+      opts.metrics_addr = lp::obs::parse_listen_addr(next());
+      if (!opts.metrics_addr) {
+        std::fprintf(stderr, "--metrics-addr must be HOST:PORT, :PORT or PORT (port <= 65535)\n");
+        usage();
+      }
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", std::string(arg).c_str());
       usage();
@@ -521,28 +526,15 @@ class Proxy {
   /// fault counters become live scrape targets, so an experiment can watch
   /// drops/reorders/partitions while the cluster runs through the proxy.
   bool setup_metrics() {
-    if (opts_.metrics_addr.empty()) return true;
-    lp::obs::HttpServer::Options hopts;
-    const auto& addr = opts_.metrics_addr;
-    const auto colon = addr.rfind(':');
-    if (colon == std::string::npos) {
-      hopts.port = static_cast<std::uint16_t>(std::strtoul(addr.c_str(), nullptr, 10));
-    } else {
-      if (colon > 0) hopts.host = addr.substr(0, colon);
-      hopts.port =
-          static_cast<std::uint16_t>(std::strtoul(addr.c_str() + colon + 1, nullptr, 10));
-    }
-    http_ = std::make_unique<lp::obs::HttpServer>(loop_, hopts);
+    if (!opts_.metrics_addr) return true;
+    http_ = std::make_unique<lp::obs::HttpServer>(loop_, *opts_.metrics_addr);
     if (!http_->listening()) {
-      std::fprintf(stderr, "chaos_proxy: cannot bind --metrics-addr %s\n", addr.c_str());
+      std::fprintf(stderr, "chaos_proxy: cannot bind --metrics-addr %s:%u\n",
+                   opts_.metrics_addr->host.c_str(), opts_.metrics_addr->port);
       return false;
     }
     auto& reg = lp::obs::Registry::global();
-    const struct {
-      const char* name;
-      const char* help;
-      const std::uint64_t* field;
-    } kCounters[] = {
+    reg.counter_fields({
         {"leopard_proxy_links_opened_total", "Accepted client links", &stats_.links_opened},
         {"leopard_proxy_links_closed_total", "Links torn down", &stats_.links_closed},
         {"leopard_proxy_chunks_forwarded_total", "Chunks relayed", &stats_.chunks_forwarded},
@@ -559,11 +551,7 @@ class Proxy {
          &stats_.partitions_started},
         {"leopard_proxy_partitions_healed_total", "Partition windows closed",
          &stats_.partitions_healed},
-    };
-    for (const auto& c : kCounters) {
-      reg.counter_fn(c.name, c.help, {},
-                     [field = c.field] { return static_cast<double>(*field); });
-    }
+    });
     reg.gauge_fn("leopard_proxy_routes", "Configured listen routes", {},
                  [this] { return static_cast<double>(routes_.size()); });
     reg.gauge_fn("leopard_proxy_live_links", "Currently open links", {},

@@ -13,9 +13,10 @@
 // keeps the node's identity, its frames travel bare and the sequencer passes
 // records straight through, so the node is a plain single-instance replica.
 // Runs until SIGINT/SIGTERM (or --run-for elapses), then prints a key=value
-// report: executed request count, the Execute-stream fold digest
-// (exec_digest, equal across honest replicas), per-shard folds, Leopard's
-// state_digest (S = 1), and transport stats.
+// report: the node's fields (executed request count, the Execute-stream fold
+// digest exec_digest, per-shard folds, Leopard's state_digest at S = 1, ...)
+// followed by every obs::Registry series. /statusz serves the same fields
+// and series live (see docs/OBSERVABILITY.md).
 //
 // Client mode (the throughput driver):
 //
@@ -26,18 +27,19 @@
 // Submits a closed-loop window of requests (Leopard: µ(req)-routed to
 // non-leader replicas; baselines: to the leader), hash-partitioned across
 // the S shards, waits for every ack, and reports achieved kreq/s plus
-// latency. Exits non-zero if the run times out before all requests are
-// acked.
+// latency in the same report form. Exits non-zero if the run times out
+// before all requests are acked.
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "chaos/interposer.hpp"
@@ -79,12 +81,11 @@ struct Args {
   std::uint32_t resubmit_ms = 1000;
   std::uint32_t shards = 0;   // parallel protocol instances (0 = manifest value)
   std::uint32_t io_threads = 1;  // worker threads for shard instances (replica mode)
-  std::string report_path;    // optional: also write the report to a file
 
-  // Observability: HOST:PORT (or :PORT / PORT) for /metrics, /statusz,
-  // /healthz; empty disables the endpoint. trace_sample is the stage tracer's
-  // 1-in-N span sampling (0 = histograms only, no span ring).
-  std::string metrics_addr;
+  // Observability: where /metrics, /statusz and /healthz listen (unset
+  // disables the endpoint). trace_sample is the stage tracer's 1-in-N span
+  // sampling (0 = histograms only, no span ring).
+  std::optional<leopard::obs::HttpServer::Options> metrics_addr;
   std::uint32_t trace_sample = 64;
 
   // Byzantine behaviour (replica mode; empty = honest).
@@ -128,7 +129,12 @@ Args parse_args(int argc, char** argv) {
     if (arg == "--manifest") {
       args.manifest_path = next();
     } else if (arg == "--id") {
-      args.id = static_cast<leopard::sim::NodeId>(std::strtoul(next(), nullptr, 10));
+      const auto id = leopard::obs::parse_decimal(next(), UINT32_MAX);
+      if (!id) {
+        std::fprintf(stderr, "--id must be a decimal node id\n");
+        usage(argv[0]);
+      }
+      args.id = static_cast<leopard::sim::NodeId>(*id);
       args.id_set = true;
     } else if (arg == "--client") {
       args.client = true;
@@ -156,10 +162,12 @@ Args parse_args(int argc, char** argv) {
         std::fprintf(stderr, "--io-threads out of range\n");
         usage(argv[0]);
       }
-    } else if (arg == "--report") {
-      args.report_path = next();
     } else if (arg == "--metrics-addr") {
-      args.metrics_addr = next();
+      args.metrics_addr = leopard::obs::parse_listen_addr(next());
+      if (!args.metrics_addr) {
+        std::fprintf(stderr, "--metrics-addr must be HOST:PORT, :PORT or PORT (port <= 65535)\n");
+        usage(argv[0]);
+      }
     } else if (arg == "--trace-sample") {
       args.trace_sample = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--byzantine") {
@@ -206,59 +214,6 @@ Args parse_args(int argc, char** argv) {
   if (args.manifest_path.empty() || !args.id_set) usage(argv[0]);
   if (args.client && args.requests == 0) usage(argv[0]);
   return args;
-}
-
-void emit_report(const Args& args, const std::string& report) {
-  std::fputs(report.c_str(), stdout);
-  std::fflush(stdout);
-  if (!args.report_path.empty()) {
-    std::ofstream out(args.report_path);
-    out << report;
-  }
-}
-
-void print_transport_stats(std::string& report, const leopard::net::SocketEnv& env) {
-  const auto& s = env.stats();
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "frames_sent=%llu frames_received=%llu bytes_sent=%llu "
-                "bytes_received=%llu decode_errors=%llu frames_dropped=%llu "
-                "connects=%llu accepts=%llu\n",
-                static_cast<unsigned long long>(s.frames_sent),
-                static_cast<unsigned long long>(s.frames_received),
-                static_cast<unsigned long long>(s.bytes_sent),
-                static_cast<unsigned long long>(s.bytes_received),
-                static_cast<unsigned long long>(s.decode_errors),
-                static_cast<unsigned long long>(s.frames_dropped),
-                static_cast<unsigned long long>(s.connects),
-                static_cast<unsigned long long>(s.accepts));
-  report += buf;
-  // Zero-copy/io-thread health: payload_copies counts serializations,
-  // frames_shared counts broadcast enqueues that aliased an existing body
-  // (fanout minus one per broadcast), writev_calls counts sendmsg syscalls.
-  std::snprintf(buf, sizeof(buf),
-                "io_threads=%u writev_calls=%llu payload_copies=%llu frames_shared=%llu\n",
-                env.io_threads(), static_cast<unsigned long long>(s.writev_calls),
-                static_cast<unsigned long long>(s.payload_copies),
-                static_cast<unsigned long long>(s.frames_shared));
-  report += buf;
-
-  // Per-peer attribution of shed frames and reconnect churn ("id:count"
-  // pairs, "-" when clean) so attack-load shedding is visible per link.
-  std::string shed;
-  std::string reconnects;
-  for (const auto& [peer, counters] : env.peer_counters()) {
-    if (counters.shed_frames > 0) {
-      if (!shed.empty()) shed += ',';
-      shed += std::to_string(peer) + ":" + std::to_string(counters.shed_frames);
-    }
-    if (counters.reconnect_attempts > 0) {
-      if (!reconnects.empty()) reconnects += ',';
-      reconnects += std::to_string(peer) + ":" + std::to_string(counters.reconnect_attempts);
-    }
-  }
-  report += "peer_shed=" + (shed.empty() ? "-" : shed) + "\n";
-  report += "peer_reconnects=" + (reconnects.empty() ? "-" : reconnects) + "\n";
 }
 
 /// Recomputes a block's canonical digest from its wire frame, mirroring
@@ -320,46 +275,64 @@ void size_worker_pool(const leopard::net::Manifest& manifest) {
   leopard::util::WorkerPool::global().resize(lanes);
 }
 
-/// "HOST:PORT", ":PORT", or bare "PORT" → listen options.
-leopard::obs::HttpServer::Options parse_metrics_addr(const std::string& addr) {
-  leopard::obs::HttpServer::Options opts;
-  const auto colon = addr.rfind(':');
-  if (colon == std::string::npos) {
-    opts.port = static_cast<std::uint16_t>(std::strtoul(addr.c_str(), nullptr, 10));
-  } else {
-    if (colon > 0) opts.host = addr.substr(0, colon);
-    opts.port =
-        static_cast<std::uint16_t>(std::strtoul(addr.c_str() + colon + 1, nullptr, 10));
-  }
-  return opts;
-}
-
-/// Binds the observability endpoint or returns nullptr when --metrics-addr is
-/// unset. A bind failure is fatal: an operator who asked for the endpoint
+/// Binds the observability endpoint, or returns nullptr when --metrics-addr
+/// is unset. A bind failure exits 3: an operator who asked for the endpoint
 /// must not silently lose it.
-std::unique_ptr<leopard::obs::HttpServer> make_metrics_server(
-    const Args& args, leopard::net::SocketEnv& env, bool* failed) {
-  *failed = false;
-  if (args.metrics_addr.empty()) return nullptr;
-  auto http = std::make_unique<leopard::obs::HttpServer>(
-      env.loop(), parse_metrics_addr(args.metrics_addr));
+std::unique_ptr<leopard::obs::HttpServer> make_metrics_server(const Args& args,
+                                                              leopard::net::SocketEnv& env) {
+  if (!args.metrics_addr) return nullptr;
+  auto http = std::make_unique<leopard::obs::HttpServer>(env.loop(), *args.metrics_addr);
   if (!http->listening()) {
-    std::fprintf(stderr, "leopard_node: cannot bind --metrics-addr %s\n",
-                 args.metrics_addr.c_str());
-    *failed = true;
-    return nullptr;
+    std::fprintf(stderr, "leopard_node: cannot bind --metrics-addr %s:%u\n",
+                 args.metrics_addr->host.c_str(), args.metrics_addr->port);
+    std::exit(3);
   }
   return http;
 }
 
-leopard::obs::HttpServer::Response json_response(const leopard::obs::JsonWriter& w) {
-  leopard::obs::HttpServer::Response resp;
-  resp.content_type = "application/json";
-  resp.body = w.str();
-  return resp;
+/// Facts about the node, each rendered twice: as a `key=value` report line
+/// and as a typed /statusz member. Counters are not fields: they are registry
+/// series, which both renderings append after the fields.
+using Fields =
+    std::vector<std::pair<std::string, std::variant<std::uint64_t, double, bool, std::string>>>;
+
+/// The shutdown report: one `key=value` line per field (a double as
+/// obs::append_number prints it, a bool as 1/0), then Registry::write_flat's
+/// dump of every series.
+void print_report(const Fields& fields, leopard::obs::Registry& registry) {
+  std::string report;
+  for (const auto& [key, value] : fields) {
+    report += key + '=';
+    std::visit(
+        [&report](const auto& v) {
+          using V = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<V, std::string>) {
+            report += v;
+          } else if constexpr (std::is_same_v<V, std::uint64_t>) {
+            report += std::to_string(v);
+          } else {
+            leopard::obs::append_number(report, static_cast<double>(v));
+          }
+        },
+        value);
+    report += '\n';
+  }
+  registry.write_flat(report);
+  std::fputs(report.c_str(), stdout);
+  std::fflush(stdout);
 }
 
-void write_peers_json(leopard::obs::JsonWriter& w, leopard::net::SocketEnv& env) {
+/// /statusz: the fields, the peer table, every registry series under
+/// `metrics`, and (replicas, `?traces=1`) the sampled span ring.
+leopard::obs::HttpServer::Response statusz(const Fields& fields, leopard::net::SocketEnv& env,
+                                           leopard::obs::Registry& registry,
+                                           const leopard::obs::StageTracer* traces) {
+  leopard::obs::JsonWriter w;
+  w.object_begin();
+  for (const auto& [key, value] : fields) {
+    w.key(key);
+    std::visit([&w](const auto& v) { w.value(v); }, value);
+  }
   w.key("peers").array_begin();
   for (const auto& p : env.peer_snapshots()) {
     w.object_begin();
@@ -371,46 +344,17 @@ void write_peers_json(leopard::obs::JsonWriter& w, leopard::net::SocketEnv& env)
     w.object_end();
   }
   w.array_end();
-}
-
-/// Table IV stage percentiles for the shutdown report (only when the stage
-/// tracer ran — the histograms are empty otherwise).
-void print_stage_latency(std::string& report, leopard::obs::Registry& registry,
-                         const leopard::obs::StageTracer& tracer) {
-  const struct {
-    const char* name;
-    const leopard::obs::Histogram& hist;
-  } kStages[] = {
-      {"generation", tracer.generation_hist()},
-      {"dissemination", tracer.dissemination_hist()},
-      {"agreement", tracer.agreement_hist()},
-      {"total", tracer.total_hist()},
-  };
-  for (const auto& stage : kStages) {
-    const auto snap = registry.histogram_snapshot(stage.hist);
-    if (snap.count == 0) continue;
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "stage_%s_count=%llu stage_%s_p50_ms=%.3f stage_%s_p99_ms=%.3f\n",
-                  stage.name, static_cast<unsigned long long>(snap.count), stage.name,
-                  static_cast<double>(snap.percentile(0.50)) / 1e6, stage.name,
-                  static_cast<double>(snap.percentile(0.99)) / 1e6);
-    report += buf;
+  w.key("metrics");
+  registry.write_statusz(w);
+  if (traces != nullptr) {
+    w.key("traces");
+    traces->write_json(w);
   }
-}
-
-/// Client commit-latency summary. `mean_latency_ms`/`p50_latency_ms` are the
-/// historical keys (scripts parse them); the tail percentiles are additive.
-void print_client_latency(std::string& report, const leopard::core::ProtocolMetrics& metrics) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "mean_latency_ms=%.2f p50_latency_ms=%.2f p90_latency_ms=%.2f "
-                "p99_latency_ms=%.2f p999_latency_ms=%.2f\n",
-                metrics.mean_latency_sec() * 1e3, metrics.latency_percentile(0.5) * 1e3,
-                metrics.latency_percentile(0.9) * 1e3,
-                metrics.latency_percentile(0.99) * 1e3,
-                metrics.latency_percentile(0.999) * 1e3);
-  report += buf;
+  w.object_end();
+  leopard::obs::HttpServer::Response resp;
+  resp.content_type = "application/json";
+  resp.body = w.str();
+  return resp;
 }
 
 /// Aux-timer token for the cross-shard stall tick. StateSync owns tokens 1
@@ -531,7 +475,7 @@ int run_replica(const Args& args, const leopard::net::Manifest& manifest,
   std::vector<std::unique_ptr<lp::protocol::Protocol>> cores;
   std::vector<std::unique_ptr<lp::shard::MuxEnv>> muxes;
   std::vector<const lp::core::LeopardReplica*> leopard_cores(shards, nullptr);
-  std::vector<lp::chaos::ByzantineInterposer*> byzs(shards, nullptr);
+  lp::chaos::ByzantineInterposer* byz0 = nullptr;  // shard 0's, for state-sync sends
   for (std::uint32_t s = 0; s < shards; ++s) {
     const auto core_id = static_cast<lp::proto::ReplicaId>((args.id + n - s % n) % n);
     auto hosted = lp::protocol::make_protocol(spec, schemes[s], core_id);
@@ -557,7 +501,7 @@ int run_replica(const Args& args, const leopard::net::Manifest& manifest,
           static_cast<lp::sim::SimTime>(args.byzantine_lag_ms) * lp::sim::kMillisecond;
       auto wrapped =
           std::make_unique<lp::chaos::ByzantineInterposer>(std::move(hosted), schemes[s], bopts);
-      byzs[s] = wrapped.get();
+      if (s == 0) byz0 = wrapped.get();
       hosted = std::move(wrapped);
     }
     // env.metrics() is the transport-owned ProtocolMetrics the registry's
@@ -580,8 +524,8 @@ int run_replica(const Args& args, const leopard::net::Manifest& manifest,
   sync.set_send([&](lp::sim::NodeId to, lp::sim::PayloadPtr payload) {
     // State-sync traffic bypasses the protocol cores, so the byzantine
     // interposer taps it here to keep the attack covering every byte sent.
-    if (byzs[0] != nullptr) {
-      payload = byzs[0]->filter_deployment_send(to, std::move(payload));
+    if (byz0 != nullptr) {
+      payload = byz0->filter_deployment_send(to, std::move(payload));
       if (payload == nullptr) return;
     }
     env.apply(lp::protocol::Send{to, std::move(payload)});
@@ -594,6 +538,8 @@ int run_replica(const Args& args, const leopard::net::Manifest& manifest,
   });
 
   env.register_observability(registry);
+  sync.register_observability(registry);
+  if (rstore != nullptr) rstore->register_observability(registry);
   registry.gauge_fn("leopard_seq_emitted", "Global records emitted by the sequencer", "",
                     [&sequencer] { return static_cast<double>(sequencer.emitted()); });
   registry.gauge_fn("leopard_seq_round", "Cross-shard sequencer round cursor", "",
@@ -607,51 +553,65 @@ int run_replica(const Args& args, const leopard::net::Manifest& manifest,
     registry.gauge_fn("leopard_executed_through", "Highest contiguously executed sn", "",
                       [lone] { return static_cast<double>(lone->executed_through()); });
   }
-  bool metrics_bind_failed = false;
-  auto http = make_metrics_server(args, env, &metrics_bind_failed);
-  if (metrics_bind_failed) return 3;
+
+  // The replica's fields, for the report and /statusz alike. Everything read
+  // here is transport-owned (the sequencer's merge callback, the per-shard
+  // folds and the stall tick all run on the transport thread) except the
+  // shard cores' views: with io_threads > 1 their cores run on workers, so
+  // shardK_view is only read when `cores_quiet` (one io thread, or the
+  // workers have been joined).
+  const auto replica_fields = [&](bool cores_quiet) {
+    Fields f = {
+        {"role", std::string("replica")},
+        {"id", std::uint64_t{args.id}},
+        {"protocol", manifest.protocol},
+        {"n", std::uint64_t{n}},
+        {"shards", std::uint64_t{shards}},
+        {"executed_requests", sync.executed_requests()},
+        {"executed_blocks", sync.executed_blocks()},
+        {"exec_digest", sync.exec_digest().hex()},
+    };
+    if (lone != nullptr) {
+      f.push_back({"state_digest", lone->state_digest().hex()});
+      f.push_back({"view", std::uint64_t{lone->view()}});
+      f.push_back({"executed_through", lone->executed_through()});
+    }
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      const auto shard = "shard" + std::to_string(s);
+      f.push_back({shard + "_executed", per_shard[s].requests});
+      f.push_back({shard + "_blocks", per_shard[s].blocks});
+      if (cores_quiet && leopard_cores[s] != nullptr) {
+        f.push_back({shard + "_view", std::uint64_t{leopard_cores[s]->view()}});
+      }
+      f.push_back({shard + "_digest", per_shard[s].fold.hex()});
+    }
+    f.push_back({"seq_emitted", sequencer.emitted()});
+    f.push_back({"seq_round", sequencer.round()});
+    f.push_back({"noops_injected", noops_injected});
+    f.push_back({"io_threads", std::uint64_t{env.io_threads()}});
+    f.push_back({"sync_live", sync.live()});
+    if (!args.byzantine.empty()) f.push_back({"byzantine", args.byzantine});
+    // Health fields: the error and progress counts perfbench's correctness
+    // gate reads from the report by these names (a missing key reads as 0
+    // there, so they must not move). Each is also a registry series.
+    f.push_back({"decode_errors", env.stats().decode_errors});
+    f.push_back({"sync_verify_failures", sync.stats().verify_failures});
+    if (rstore != nullptr) {
+      const auto& st = rstore->stats();
+      f.push_back({"store_appends", st.appends});
+      f.push_back({"store_append_errors", st.append_errors});
+      f.push_back({"store_fsync_errors", st.fsync_errors});
+      f.push_back({"store_snapshots", st.snapshots_written});
+    }
+    return f;
+  };
+
+  auto http = make_metrics_server(args, env);
   if (http != nullptr) {
     http->handle("/statusz", [&](std::string_view query) {
-      lp::obs::JsonWriter w;
-      w.object_begin();
-      w.key("role").value("replica");
-      w.key("id").value(static_cast<std::uint64_t>(args.id));
-      w.key("protocol").value(manifest.protocol);
-      w.key("n").value(static_cast<std::uint64_t>(n));
-      w.key("shards").value(static_cast<std::uint64_t>(shards));
-      if (lone != nullptr) {
-        w.key("view").value(static_cast<std::uint64_t>(lone->view()));
-        w.key("executed_through").value(lone->executed_through());
-        w.key("state_digest").value(lone->state_digest().hex());
-      }
-      w.key("executed_requests").value(sync.executed_requests());
-      w.key("executed_blocks").value(sync.executed_blocks());
-      w.key("exec_digest").value(sync.exec_digest().hex());
-      w.key("sync_live").value(sync.live());
-      // Sequencer cursors are transport-owned (the merge callback runs on the
-      // transport thread), so they are always safe to read here.
-      w.key("seq_emitted").value(sequencer.emitted());
-      w.key("seq_round").value(sequencer.round());
-      // Shard cores run on worker threads when io_threads > 1; their live
-      // views are only coherently readable from this (transport) thread in
-      // the single-io-thread layout.
-      if (env.io_threads() <= 1) {
-        w.key("shard_views").array_begin();
-        for (std::uint32_t s = 0; s < shards; ++s) {
-          w.value(static_cast<std::uint64_t>(
-              leopard_cores[s] != nullptr ? leopard_cores[s]->view() : 0));
-        }
-        w.array_end();
-      }
-      write_peers_json(w, env);
-      w.key("metrics");
-      registry.write_statusz(w);
-      if (lp::obs::query_param(query, "traces") == "1") {
-        w.key("traces");
-        tracer->write_json(w);
-      }
-      w.object_end();
-      return json_response(w);
+      const bool traces = lp::obs::query_param(query, "traces") == "1";
+      return statusz(replica_fields(env.io_threads() <= 1), env, registry,
+                     traces ? tracer.get() : nullptr);
     });
     http->serve_registry(registry);
   }
@@ -703,98 +663,7 @@ int run_replica(const Args& args, const leopard::net::Manifest& manifest,
   });
 
   if (rstore != nullptr) rstore->flush();
-
-  std::string report;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), "role=replica id=%u protocol=%s n=%u shards=%u\n",
-                args.id, manifest.protocol.c_str(), n, shards);
-  report += buf;
-  std::snprintf(buf, sizeof(buf), "executed_requests=%llu executed_blocks=%llu\n",
-                static_cast<unsigned long long>(sync.executed_requests()),
-                static_cast<unsigned long long>(sync.executed_blocks()));
-  report += buf;
-  report += "exec_digest=" + sync.exec_digest().hex() + "\n";
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    std::snprintf(buf, sizeof(buf), "shard%u_executed=%llu shard%u_blocks=%llu ", s,
-                  static_cast<unsigned long long>(per_shard[s].requests), s,
-                  static_cast<unsigned long long>(per_shard[s].blocks));
-    report += buf;
-    if (leopard_cores[s] != nullptr) {
-      std::snprintf(buf, sizeof(buf), "shard%u_view=%u ", s, leopard_cores[s]->view());
-      report += buf;
-    }
-    report += "shard" + std::to_string(s) + "_digest=" + per_shard[s].fold.hex() + "\n";
-  }
-  std::snprintf(buf, sizeof(buf), "seq_emitted=%llu seq_round=%llu noops_injected=%llu\n",
-                static_cast<unsigned long long>(sequencer.emitted()),
-                static_cast<unsigned long long>(sequencer.round()),
-                static_cast<unsigned long long>(noops_injected));
-  report += buf;
-  if (lone != nullptr) {
-    report += "state_digest=" + lone->state_digest().hex() + "\n";
-    std::snprintf(buf, sizeof(buf), "view=%u executed_through=%llu\n", lone->view(),
-                  static_cast<unsigned long long>(lone->executed_through()));
-    report += buf;
-  }
-  print_stage_latency(report, registry, *tracer);
-  if (byzs[0] != nullptr) {
-    lp::chaos::ByzantineInterposer::Stats total{};
-    for (const auto* b : byzs) {
-      if (b == nullptr) continue;
-      total.equivocations += b->stats().equivocations;
-      total.suppressed += b->stats().suppressed;
-      total.corrupted += b->stats().corrupted;
-      total.delayed += b->stats().delayed;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "byzantine=%s byz_equivocations=%llu byz_suppressed=%llu "
-                  "byz_corrupted=%llu byz_delayed=%llu\n",
-                  args.byzantine.c_str(),
-                  static_cast<unsigned long long>(total.equivocations),
-                  static_cast<unsigned long long>(total.suppressed),
-                  static_cast<unsigned long long>(total.corrupted),
-                  static_cast<unsigned long long>(total.delayed));
-    report += buf;
-  }
-  if (rstore != nullptr) {
-    const auto& st = rstore->stats();
-    std::snprintf(buf, sizeof(buf),
-                  "store_entries=%llu store_recovered_entries=%llu "
-                  "store_snapshot_index=%llu store_torn_bytes=%llu "
-                  "store_corrupt_dropped=%llu\n",
-                  static_cast<unsigned long long>(rstore->entries()),
-                  static_cast<unsigned long long>(recovery.entries),
-                  static_cast<unsigned long long>(recovery.snapshot_index),
-                  static_cast<unsigned long long>(recovery.torn_bytes),
-                  static_cast<unsigned long long>(recovery.corrupt_dropped));
-    report += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "store_appends=%llu store_append_errors=%llu store_fsyncs=%llu "
-                  "store_fsync_errors=%llu store_snapshots=%llu\n",
-                  static_cast<unsigned long long>(st.appends),
-                  static_cast<unsigned long long>(st.append_errors),
-                  static_cast<unsigned long long>(st.fsyncs),
-                  static_cast<unsigned long long>(st.fsync_errors),
-                  static_cast<unsigned long long>(st.snapshots_written));
-    report += buf;
-  }
-  {
-    const auto& ss = sync.stats();
-    std::snprintf(buf, sizeof(buf),
-                  "sync_live=%d sync_rounds=%llu sync_entries=%llu "
-                  "sync_duplicates=%llu sync_probes=%llu sync_pulls_served=%llu "
-                  "sync_verify_failures=%llu\n",
-                  sync.live() ? 1 : 0,
-                  static_cast<unsigned long long>(ss.rounds_completed),
-                  static_cast<unsigned long long>(ss.entries_transferred),
-                  static_cast<unsigned long long>(ss.duplicates_dropped),
-                  static_cast<unsigned long long>(ss.probes_sent),
-                  static_cast<unsigned long long>(ss.pulls_served),
-                  static_cast<unsigned long long>(ss.verify_failures));
-    report += buf;
-  }
-  print_transport_stats(report, env);
-  emit_report(args, report);
+  print_report(replica_fields(/*cores_quiet=*/true), registry);
   return 0;
 }
 
@@ -850,60 +719,52 @@ int run_client(const Args& args, const leopard::net::Manifest& manifest,
   const auto all_done = [&] {
     return std::all_of(subs.begin(), subs.end(), [](const auto& sub) { return sub->done(); });
   };
-  const auto counts = [&] {  // (submitted, acked) over every shard's client
-    std::pair<std::uint64_t, std::uint64_t> total{0, 0};
+
+  // The client's fields, for the report and /statusz alike: the clients and
+  // env.metrics() (the commit-latency ProtocolMetrics every shard's MuxEnv
+  // shares) are all driven from the transport thread.
+  const auto client_fields = [&] {
+    std::uint64_t submitted = 0;
+    std::uint64_t acked = 0;
     for (const auto& sub : subs) {
-      total.first += sub->submitted();
-      total.second += sub->acked();
+      submitted += sub->submitted();
+      acked += sub->acked();
     }
-    return total;
+    const double elapsed = lp::sim::to_seconds(env.now());
+    const auto& metrics = env.metrics();
+    // mean_latency_ms/p50_latency_ms are the historical keys scripts parse;
+    // the tail percentiles are additive.
+    return Fields{
+        {"role", std::string("client")},
+        {"id", std::uint64_t{args.id}},
+        {"protocol", manifest.protocol},
+        {"n", std::uint64_t{manifest.n}},
+        {"shards", std::uint64_t{shards}},
+        {"submitted", submitted},
+        {"acked", acked},
+        {"elapsed_s", elapsed},
+        {"kreq_s", elapsed > 0 ? static_cast<double>(acked) / elapsed / 1e3 : 0.0},
+        {"mean_latency_ms", metrics.mean_latency_sec() * 1e3},
+        {"p50_latency_ms", metrics.latency_percentile(0.5) * 1e3},
+        {"p90_latency_ms", metrics.latency_percentile(0.9) * 1e3},
+        {"p99_latency_ms", metrics.latency_percentile(0.99) * 1e3},
+        {"p999_latency_ms", metrics.latency_percentile(0.999) * 1e3},
+    };
   };
 
   auto& registry = lp::obs::Registry::global();
   env.register_observability(registry);
-  bool metrics_bind_failed = false;
-  auto http = make_metrics_server(args, env, &metrics_bind_failed);
-  if (metrics_bind_failed) return 3;
+  auto http = make_metrics_server(args, env);
   if (http != nullptr) {
     http->handle("/statusz", [&](std::string_view) {
-      const auto [submitted, acked] = counts();
-      lp::obs::JsonWriter w;
-      w.object_begin();
-      w.key("role").value("client");
-      w.key("id").value(static_cast<std::uint64_t>(args.id));
-      w.key("protocol").value(manifest.protocol);
-      w.key("shards").value(static_cast<std::uint64_t>(shards));
-      w.key("submitted").value(submitted);
-      w.key("acked").value(acked);
-      write_peers_json(w, env);
-      w.key("metrics");
-      registry.write_statusz(w);
-      w.object_end();
-      return json_response(w);
+      return statusz(client_fields(), env, registry, nullptr);
     });
     http->serve_registry(registry);
   }
 
   const auto deadline = lp::sim::from_seconds(args.timeout);
   env.run([&] { return g_stop != 0 || all_done() || env.now() >= deadline; });
-  const double elapsed = lp::sim::to_seconds(env.now());
-  const auto [submitted, acked] = counts();
-
-  auto& metrics = env.metrics();
-  std::string report;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "role=client id=%u protocol=%s n=%u shards=%u\n",
-                args.id, manifest.protocol.c_str(), manifest.n, shards);
-  report += buf;
-  std::snprintf(buf, sizeof(buf),
-                "submitted=%llu acked=%llu elapsed_s=%.3f kreq_s=%.3f\n",
-                static_cast<unsigned long long>(submitted),
-                static_cast<unsigned long long>(acked), elapsed,
-                elapsed > 0 ? static_cast<double>(acked) / elapsed / 1e3 : 0.0);
-  report += buf;
-  print_client_latency(report, metrics);
-  print_transport_stats(report, env);
-  emit_report(args, report);
+  print_report(client_fields(), registry);
   return all_done() ? 0 : 1;
 }
 

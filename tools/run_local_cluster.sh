@@ -10,9 +10,11 @@
 #                      `shards`); replicas report per-shard digests plus the
 #                      merged exec_digest, which must still match
 #   --byzantine MODE   run one replica under a byzantine interposer
-#                      (equivocate | silence | garbage-shares | laggard)
-#   --byzantine-id N   which replica misbehaves (default 3; use 1 to attack
-#                      the initial leader)
+#                      (equivocate | silence | garbage-shares | laggard);
+#                      fails unless that replica reports actions taken
+#                      (garbage-shares acts only on chunks peers pull from it)
+#   --byzantine-id N   which replica misbehaves (default 3, or the initial
+#                      leader 1 for equivocate: only a leader proposes)
 #   --lag-ms MS        frame delay for --byzantine laggard (default 150)
 #   --proxy            route the last replica's dials through a chaos_proxy
 #   --proxy-args "..." extra chaos_proxy flags, e.g.
@@ -22,7 +24,7 @@
 set -euo pipefail
 
 BUILD_DIR=build PROTOCOL=leopard REQUESTS=500
-BYZ_MODE="" BYZ_ID=3 LAG_MS=150 USE_PROXY=0 PROXY_ARGS="" SHARDS=1
+BYZ_MODE="" BYZ_ID="" LAG_MS=150 USE_PROXY=0 PROXY_ARGS="" SHARDS=1
 pos=0
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -41,6 +43,11 @@ while [ $# -gt 0 ]; do
        esac; pos=$((pos + 1)); shift ;;
   esac
 done
+
+if [ -z "$BYZ_ID" ]; then
+  BYZ_ID=3
+  [ "$BYZ_MODE" != "equivocate" ] || BYZ_ID=1
+fi
 
 NODE_BIN="$BUILD_DIR/leopard_node"
 PROXY_BIN="$BUILD_DIR/chaos_proxy"
@@ -146,7 +153,13 @@ done
 DIGESTS=$(grep -ho "exec_digest=[0-9a-f]*" "${HONEST_OUTS[@]}" | sort -u)
 echo "$DIGESTS"
 [ "$(echo "$DIGESTS" | wc -l)" -eq 1 ] || { echo "FAIL: replica digests diverged"; exit 1; }
+# An attack that never fired proves nothing: the byzantine replica's
+# leopard_chaos_byz_actions_total series (one per action kind) must sum to >0.
 if [ -n "$BYZ_MODE" ]; then
-  grep -ho "byz_[a-z]*=[0-9]*" "$WORK/replica$BYZ_ID.out" | tr '\n' ' '; echo
+  BYZ_ACTIONS=$(grep -ho "leopard_chaos_byz_actions_total{[^}]*}=[0-9]*" \
+    "$WORK/replica$BYZ_ID.out" || true)
+  echo "$BYZ_ACTIONS" | tr '\n' ' '; echo
+  BYZ_TOTAL=$(echo "$BYZ_ACTIONS" | awk -F= '{ total += $NF } END { print total + 0 }')
+  [ "$BYZ_TOTAL" -gt 0 ] || { echo "FAIL: byzantine replica $BYZ_ID reports no $BYZ_MODE actions"; exit 1; }
 fi
 echo "OK: $REQUESTS requests committed end to end on $PROTOCOL, honest digests match"
