@@ -1,6 +1,7 @@
 #include "crypto/hmac.hpp"
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -41,21 +42,6 @@ Sha256::DigestBytes HmacContext::mac(std::span<const std::uint8_t> message) cons
   return out.finalize();
 }
 
-void HmacContext::mac_pair(std::span<const std::uint8_t> m0, std::span<const std::uint8_t> m1,
-                           Sha256::DigestBytes& out0, Sha256::DigestBytes& out1) const {
-  Sha256 in0 = inner_;
-  Sha256 in1 = inner_;
-  Sha256::update_two(in0, m0, in1, m1);
-  Sha256::DigestBytes d0;
-  Sha256::DigestBytes d1;
-  Sha256::finalize_two(in0, in1, d0, d1);
-
-  Sha256 o0 = outer_;
-  Sha256 o1 = outer_;
-  Sha256::update_two(o0, d0, o1, d1);
-  Sha256::finalize_two(o0, o1, out0, out1);
-}
-
 namespace {
 
 constexpr std::size_t kBlock = Sha256::kBlockSize;
@@ -68,12 +54,14 @@ void store_be64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
 }
 
+/// Word-wise rather than byte-wise: GCC -O3 vectorizes a per-byte version
+/// across the lanes of mac_tagged_many's loops into a shuffle-heavy path that
+/// only a full kMaxBatch batch takes, and that path ran ~50% slower per lane.
 void store_be32x8(std::uint8_t* p, const std::uint32_t s[8]) {
   for (int i = 0; i < 8; ++i) {
-    p[4 * i + 0] = static_cast<std::uint8_t>(s[i] >> 24);
-    p[4 * i + 1] = static_cast<std::uint8_t>(s[i] >> 16);
-    p[4 * i + 2] = static_cast<std::uint8_t>(s[i] >> 8);
-    p[4 * i + 3] = static_cast<std::uint8_t>(s[i]);
+    std::uint32_t be = s[i];
+    if constexpr (std::endian::native == std::endian::little) be = __builtin_bswap32(be);
+    std::memcpy(p + 4 * i, &be, sizeof(be));
   }
 }
 
@@ -88,144 +76,62 @@ void build_fused_inner_block(std::uint8_t tag, std::span<const std::uint8_t> mes
   store_be64(block + kBlock - 8, static_cast<std::uint64_t>(kBlock + 1 + message.size()) * 8);
 }
 
-/// Shared fused-path finish: per lane, builds the padded outer block
-/// H(opad-midstate || inner-digest) from the advanced inner state
-/// `inner[i]`, compresses it over the opad midstate `outer_mid[i]` (advanced
-/// in place), and emits the final MAC. One n-lane pass for the whole batch.
-void fused_outer_pass(const std::uint32_t inner[][8], std::uint32_t outer_mid[][8],
-                      std::size_t count, Sha256::DigestBytes* out) {
-  std::uint8_t blocks[Sha256::kMaxBatch][kBlock];
-  std::uint32_t* st[Sha256::kMaxBatch];
-  const std::uint8_t* bl[Sha256::kMaxBatch];
-  for (std::size_t i = 0; i < count; ++i) {
-    std::memset(blocks[i], 0, kBlock);
-    store_be32x8(blocks[i], inner[i]);
-    blocks[i][Sha256::kDigestSize] = 0x80;
-    store_be64(blocks[i] + kBlock - 8, (kBlock + Sha256::kDigestSize) * 8);
-    st[i] = outer_mid[i];
-    bl[i] = blocks[i];
-  }
-  Sha256::compress_wide(st, bl, count, 1);
-  for (std::size_t i = 0; i < count; ++i) store_be32x8(out[i].data(), outer_mid[i]);
-}
-
 }  // namespace
 
-void HmacContext::mac_tagged_pair(std::uint8_t tag0, std::uint8_t tag1,
-                                  std::span<const std::uint8_t> message,
-                                  Sha256::DigestBytes& out0,
-                                  Sha256::DigestBytes& out1) const {
-  if (message.size() <= kFusedMaxMessage) {
-    // Fused fixed-shape path: one key, two domain tags — the single-share
-    // sign/verify shape (ROADMAP: the incremental machinery cost ~40% of
-    // those calls). The two inner blocks differ only in the tag byte; both
-    // lanes start from the same precomputed ipad midstate, then one padded
-    // outer block each. Two compress_pair calls total.
-    std::uint8_t block0[kBlock];
-    std::uint8_t block1[kBlock];
-    build_fused_inner_block(tag0, message, block0);
-    build_fused_inner_block(tag1, message, block1);
-
-    std::uint32_t inner_states[2][8];
-    inner_.export_midstate(inner_states[0]);
-    inner_.export_midstate(inner_states[1]);
-    Sha256::compress_pair(inner_states[0], block0, inner_states[1], block1, 1);
-
-    std::uint32_t outer_states[2][8];
-    outer_.export_midstate(outer_states[0]);
-    outer_.export_midstate(outer_states[1]);
-    Sha256::DigestBytes outs[2];
-    fused_outer_pass(inner_states, outer_states, 2, outs);
-    out0 = outs[0];
-    out1 = outs[1];
-    return;
-  }
-
-  Sha256 in0 = inner_;
-  Sha256 in1 = inner_;
-  in0.update({&tag0, 1});
-  in1.update({&tag1, 1});
-  Sha256::update_two(in0, message, in1, message);
-  Sha256::DigestBytes d0;
-  Sha256::DigestBytes d1;
-  Sha256::finalize_two(in0, in1, d0, d1);
-
-  Sha256 o0 = outer_;
-  Sha256 o1 = outer_;
-  Sha256::update_two(o0, d0, o1, d1);
-  Sha256::finalize_two(o0, o1, out0, out1);
-}
-
-void HmacContext::mac_tagged_cross(const HmacContext& a, const HmacContext& b,
-                                   std::uint8_t tag, std::span<const std::uint8_t> message,
-                                   Sha256::DigestBytes& out_a, Sha256::DigestBytes& out_b) {
-  const HmacContext* ctxs[2] = {&a, &b};
-  Sha256::DigestBytes out[2];
-  mac_tagged_cross_many(ctxs, 2, tag, message, out);
-  out_a = out[0];
-  out_b = out[1];
-}
-
-void HmacContext::mac_tagged_cross_many(const HmacContext* const* ctxs, std::size_t count,
-                                        std::uint8_t tag,
-                                        std::span<const std::uint8_t> message,
-                                        Sha256::DigestBytes* out) {
+void HmacContext::mac_tagged_many(const HmacContext* const* ctxs, const std::uint8_t* tags,
+                                  std::size_t count, std::span<const std::uint8_t> message,
+                                  Sha256::DigestBytes* out) {
   constexpr std::size_t kMax = Sha256::kMaxBatch;
-  util::expects(count <= kMax, "mac_tagged_cross_many: batch too large");
+  util::expects(count <= kMax, "mac_tagged_many: batch too large");
   if (count == 0) return;
 
+  // Lane i compresses blocks[i] over states[i] in both passes.
+  std::uint8_t blocks[kMax][kBlock];
+  std::uint32_t states[kMax][8];
+  std::uint32_t* st[kMax];
+  const std::uint8_t* bl[kMax];
+  for (std::size_t i = 0; i < count; ++i) {
+    st[i] = states[i];
+    bl[i] = blocks[i];
+  }
+
+  Sha256::DigestBytes inner[kMax];
   if (message.size() <= kFusedMaxMessage) {
     // Fused fixed-shape path (the vote hot path: message is a 32-byte
-    // digest). EVERY lane compresses the SAME prepared inner block — only
-    // the key midstates differ — then one padded outer block each. No
-    // context copies, no incremental-update buffering, no finalize
-    // machinery: two compress_wide passes total, up to wide_lanes() shares
-    // per pass.
-    std::uint8_t inner_block[kBlock];
-    build_fused_inner_block(tag, message, inner_block);
-
-    std::uint32_t inner_states[kMax][8];
-    std::uint32_t* st[kMax];
-    const std::uint8_t* bl[kMax];
+    // digest): one padded inner block per lane over that lane's ipad
+    // midstate. No context copies, no incremental-update buffering.
     for (std::size_t i = 0; i < count; ++i) {
-      ctxs[i]->inner_.export_midstate(inner_states[i]);
-      st[i] = inner_states[i];
-      bl[i] = inner_block;
+      build_fused_inner_block(tags[i], message, blocks[i]);
+      ctxs[i]->inner_.export_midstate(states[i]);
     }
     Sha256::compress_wide(st, bl, count, 1);
-
-    std::uint32_t outer_states[kMax][8];
-    for (std::size_t i = 0; i < count; ++i) ctxs[i]->outer_.export_midstate(outer_states[i]);
-    fused_outer_pass(inner_states, outer_states, count, out);
-    return;
+    for (std::size_t i = 0; i < count; ++i) store_be32x8(inner[i].data(), states[i]);
+  } else {
+    // Long messages (rare — votes are digests): the incremental drivers.
+    Sha256 in[kMax];
+    Sha256* ptrs[kMax];
+    std::span<const std::uint8_t> msgs[kMax];
+    for (std::size_t i = 0; i < count; ++i) {
+      in[i] = ctxs[i]->inner_;
+      in[i].update({&tags[i], 1});
+      ptrs[i] = &in[i];
+      msgs[i] = message;
+    }
+    Sha256::update_many(ptrs, msgs, count);
+    Sha256::finalize_many(ptrs, inner, count);
   }
 
-  // Long messages: paired incremental runs (rare — votes are digests).
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    Sha256 ia = ctxs[i]->inner_;
-    Sha256 ib = ctxs[i + 1]->inner_;
-    ia.update({&tag, 1});
-    ib.update({&tag, 1});
-    Sha256::update_two(ia, message, ib, message);
-    Sha256::DigestBytes da;
-    Sha256::DigestBytes db;
-    Sha256::finalize_two(ia, ib, da, db);
-
-    Sha256 oa = ctxs[i]->outer_;
-    Sha256 ob = ctxs[i + 1]->outer_;
-    Sha256::update_two(oa, da, ob, db);
-    Sha256::finalize_two(oa, ob, out[i], out[i + 1]);
+  // Outer hash: one padded block per lane (inner digest || padding) over the
+  // lane's opad midstate.
+  for (std::size_t i = 0; i < count; ++i) {
+    std::memset(blocks[i], 0, kBlock);
+    std::memcpy(blocks[i], inner[i].data(), Sha256::kDigestSize);
+    blocks[i][Sha256::kDigestSize] = 0x80;
+    store_be64(blocks[i] + kBlock - 8, (kBlock + Sha256::kDigestSize) * 8);
+    ctxs[i]->outer_.export_midstate(states[i]);
   }
-  if (i < count) {
-    Sha256 in = ctxs[i]->inner_;
-    in.update({&tag, 1});
-    in.update(message);
-    const auto d = in.finalize();
-    Sha256 o = ctxs[i]->outer_;
-    o.update(d);
-    out[i] = o.finalize();
-  }
+  Sha256::compress_wide(st, bl, count, 1);
+  for (std::size_t i = 0; i < count; ++i) store_be32x8(out[i].data(), states[i]);
 }
 
 Sha256::DigestBytes hmac_sha256(std::span<const std::uint8_t> key,

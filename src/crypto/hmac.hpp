@@ -30,40 +30,19 @@ class HmacContext {
   /// HMAC(key, message).
   [[nodiscard]] Sha256::DigestBytes mac(std::span<const std::uint8_t> message) const;
 
-  /// HMAC(key, m0) and HMAC(key, m1) with the inner and outer hashes running
-  /// through the two-lane compression driver.
-  void mac_pair(std::span<const std::uint8_t> m0, std::span<const std::uint8_t> m1,
-                Sha256::DigestBytes& out0, Sha256::DigestBytes& out1) const;
-
-  /// HMAC(key, tag0 || m) and HMAC(key, tag1 || m) — the threshold-signature
-  /// evaluation shape (two domain-separated MACs over one message), without
-  /// materializing the concatenations. Messages short enough that tag||m pads
-  /// into one block (the vote shape: m is a 32-byte digest) run the fused
-  /// raw-block path — two compress_pair calls total, no incremental-update
-  /// machinery — which is what makes single-share sign/verify cheap.
-  void mac_tagged_pair(std::uint8_t tag0, std::uint8_t tag1,
-                       std::span<const std::uint8_t> message, Sha256::DigestBytes& out0,
-                       Sha256::DigestBytes& out1) const;
-
-  /// HMAC(key_a, tag || m) and HMAC(key_b, tag || m) — two DIFFERENT keys,
-  /// one message: the cross-signer shape of batched vote verification
-  /// (ThresholdScheme::combine pairs adjacent shares through this). Unlike
-  /// back-to-back mac() calls, the two keys' inner compressions share one
-  /// two-lane pass and their outer compressions another, and consecutive
-  /// mac_tagged_cross calls (tag 0x00 then 0x01) are data-independent, so
-  /// the compression chains of a share pair overlap in the OoO window.
-  static void mac_tagged_cross(const HmacContext& a, const HmacContext& b, std::uint8_t tag,
-                               std::span<const std::uint8_t> message,
-                               Sha256::DigestBytes& out_a, Sha256::DigestBytes& out_b);
-
-  /// The n-lane generalization: HMAC(key_i, tag || m) for i in [0, count),
-  /// count <= Sha256::kMaxBatch. All lanes share one prepared inner block on
-  /// the fused path (only the key midstates differ), so a whole batch of
-  /// vote shares runs as two compress_wide passes — 8 shares per pass under
-  /// the AVX2 kernel. Longer messages fall back to paired incremental runs.
-  static void mac_tagged_cross_many(const HmacContext* const* ctxs, std::size_t count,
-                                    std::uint8_t tag, std::span<const std::uint8_t> message,
-                                    Sha256::DigestBytes* out);
+  /// HMAC(key_i, tag_i || m) into out[i] for i in [0, count), count <=
+  /// Sha256::kMaxBatch: each lane has its own key (ctxs[i]) and domain tag
+  /// (tags[i]) over one shared message, without materializing the
+  /// concatenations. This is the threshold-signature evaluation shape: one
+  /// signer's two tags for sign/verify, many signers' for batched vote
+  /// verification. Messages short enough that tag||m pads into one block (the
+  /// vote shape: m is a 32-byte digest) run the fused raw-block path — one
+  /// prepared inner block per lane, then two compress_wide passes for the
+  /// whole batch, no incremental-update machinery. Longer messages run
+  /// through Sha256::update_many/finalize_many.
+  static void mac_tagged_many(const HmacContext* const* ctxs, const std::uint8_t* tags,
+                              std::size_t count, std::span<const std::uint8_t> message,
+                              Sha256::DigestBytes* out);
 
  private:
   Sha256 inner_;  // midstate after absorbing key ^ ipad

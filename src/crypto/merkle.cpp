@@ -28,8 +28,9 @@ std::vector<Digest> MerkleTree::hash_leaves(std::span<const std::uint8_t> buf,
   util::expects(buf.size() % leaf_size == 0, "buffer is not a whole number of leaves");
   const std::size_t count = buf.size() / leaf_size;
   // The shards sit back to back in the arena, so they are exactly the
-  // equal-size rows the multi-buffer interface wants: leaves hash in n-lane
-  // batches (8-wide under AVX2) — and, for arena-scale inputs, row ranges
+  // equal-size rows the multi-buffer interface wants: leaves hash in groups
+  // of Sha256::kMaxBatch through compress_wide (8 lanes per pass under AVX2,
+  // 2 under SHA-NI/ARM CE) — and, for arena-scale inputs, row ranges
   // fan out across the worker pool — written straight into the Digest
   // storage (licensed by the sizeof static_assert above).
   std::vector<Digest> leaves(count);

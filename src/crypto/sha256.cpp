@@ -244,20 +244,18 @@ __attribute__((target("sha,sse4.1,ssse3"))) void compress_shani_x2(
 #endif  // LEOPARD_SHA256_HAS_SHANI
 
 // ---------------------------------------------------------------------------
-// x86 transposed multi-buffer kernels (AVX2 8-wide, SSE2 4-wide)
+// x86 transposed multi-buffer kernel (AVX2 8-wide)
 //
 // The classic SHA-256-MB technique: N independent message streams, one vector
 // register per working variable whose lane j belongs to stream j. Every round
 // and every message-schedule step is an ordinary 32-bit vector op, so the
 // kernel needs no SHA ISA at all — it is the fast path for multi-stream work
 // on CPUs whose only SHA option would otherwise be the portable loop. Blocks
-// are loaded per lane and transposed in registers (8x8 or 4x4 32-bit
-// transpose) so w[i] holds word i of all lanes.
+// are loaded per lane and transposed in registers (8x8 32-bit transpose) so
+// w[i] holds word i of all lanes.
 // ---------------------------------------------------------------------------
 
-// x86-64 only: SSE2 is baseline there, so compress_sse2_x4 needs no target
-// attribute and no CPUID gate. (An i386 build would need both — it falls
-// back to the portable/SHA-NI dispatch instead.)
+// x86-64 only; an i386 build falls back to the portable/SHA-NI dispatch.
 #if defined(__x86_64__)
 #define LEOPARD_SHA256_HAS_X86_WIDE 1
 
@@ -382,112 +380,7 @@ __attribute__((target("avx2"))) void compress_avx2_x8(std::uint32_t* const* stat
 
 #undef LEOPARD_AVX2_FN
 
-// SSE2 4-wide variant: baseline x86-64 vectors, no target attribute needed.
-
-static inline __m128i v4_add(__m128i a, __m128i b) { return _mm_add_epi32(a, b); }
-static inline __m128i v4_xor(__m128i a, __m128i b) { return _mm_xor_si128(a, b); }
-static inline __m128i v4_and(__m128i a, __m128i b) { return _mm_and_si128(a, b); }
-
-template <int N>
-static inline __m128i v4_rotr(__m128i x) {
-  return _mm_or_si128(_mm_srli_epi32(x, N), _mm_slli_epi32(x, 32 - N));
-}
-static inline __m128i v4_big_sigma0(__m128i x) {
-  return v4_xor(v4_rotr<2>(x), v4_xor(v4_rotr<13>(x), v4_rotr<22>(x)));
-}
-static inline __m128i v4_big_sigma1(__m128i x) {
-  return v4_xor(v4_rotr<6>(x), v4_xor(v4_rotr<11>(x), v4_rotr<25>(x)));
-}
-static inline __m128i v4_small_sigma0(__m128i x) {
-  return v4_xor(v4_rotr<7>(x), v4_xor(v4_rotr<18>(x), _mm_srli_epi32(x, 3)));
-}
-static inline __m128i v4_small_sigma1(__m128i x) {
-  return v4_xor(v4_rotr<17>(x), v4_xor(v4_rotr<19>(x), _mm_srli_epi32(x, 10)));
-}
-static inline __m128i v4_ch(__m128i e, __m128i f, __m128i g) {
-  return v4_xor(v4_and(e, f), _mm_andnot_si128(e, g));
-}
-static inline __m128i v4_maj(__m128i a, __m128i b, __m128i c) {
-  return v4_xor(v4_and(a, b), v4_and(c, v4_xor(a, b)));
-}
-/// 32-bit byte swap with pure SSE2 (no pshufb).
-static inline __m128i v4_bswap32(__m128i x) {
-  const __m128i mask = _mm_set1_epi32(0x0000FF00);
-  return _mm_or_si128(
-      _mm_or_si128(_mm_slli_epi32(x, 24), _mm_slli_epi32(v4_and(x, mask), 8)),
-      _mm_or_si128(v4_and(_mm_srli_epi32(x, 8), mask), _mm_srli_epi32(x, 24)));
-}
-
-void compress_sse2_x4(std::uint32_t* const* states, const std::uint8_t* const* blocks,
-                      std::size_t nblocks) {
-  __m128i s[8];
-  alignas(16) std::uint32_t tmp[4];
-  for (int j = 0; j < 8; ++j) {
-    for (int l = 0; l < 4; ++l) tmp[l] = states[l][j];
-    s[j] = _mm_load_si128(reinterpret_cast<const __m128i*>(tmp));
-  }
-
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t off = blk * Sha256::kBlockSize;
-    __m128i w[16];
-    for (int q = 0; q < 4; ++q) {
-      __m128i r[4];
-      for (int l = 0; l < 4; ++l) {
-        r[l] = v4_bswap32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[l] + off + 16 * q)));
-      }
-      const __m128i t0 = _mm_unpacklo_epi32(r[0], r[1]);
-      const __m128i t1 = _mm_unpackhi_epi32(r[0], r[1]);
-      const __m128i t2 = _mm_unpacklo_epi32(r[2], r[3]);
-      const __m128i t3 = _mm_unpackhi_epi32(r[2], r[3]);
-      w[4 * q + 0] = _mm_unpacklo_epi64(t0, t2);
-      w[4 * q + 1] = _mm_unpackhi_epi64(t0, t2);
-      w[4 * q + 2] = _mm_unpacklo_epi64(t1, t3);
-      w[4 * q + 3] = _mm_unpackhi_epi64(t1, t3);
-    }
-
-    __m128i a = s[0], b = s[1], c = s[2], d = s[3];
-    __m128i e = s[4], f = s[5], g = s[6], h = s[7];
-    for (int i = 0; i < 64; ++i) {
-      __m128i wi;
-      if (i < 16) {
-        wi = w[i];
-      } else {
-        wi = v4_add(v4_add(v4_small_sigma1(w[(i - 2) & 15]), w[(i - 7) & 15]),
-                    v4_add(v4_small_sigma0(w[(i - 15) & 15]), w[i & 15]));
-        w[i & 15] = wi;
-      }
-      const __m128i t1 =
-          v4_add(v4_add(h, v4_big_sigma1(e)),
-                 v4_add(v4_ch(e, f, g),
-                        v4_add(_mm_set1_epi32(static_cast<int>(kRoundConstants[i])), wi)));
-      const __m128i t2 = v4_add(v4_big_sigma0(a), v4_maj(a, b, c));
-      h = g;
-      g = f;
-      f = e;
-      e = v4_add(d, t1);
-      d = c;
-      c = b;
-      b = a;
-      a = v4_add(t1, t2);
-    }
-    s[0] = v4_add(s[0], a);
-    s[1] = v4_add(s[1], b);
-    s[2] = v4_add(s[2], c);
-    s[3] = v4_add(s[3], d);
-    s[4] = v4_add(s[4], e);
-    s[5] = v4_add(s[5], f);
-    s[6] = v4_add(s[6], g);
-    s[7] = v4_add(s[7], h);
-  }
-
-  for (int j = 0; j < 8; ++j) {
-    _mm_store_si128(reinterpret_cast<__m128i*>(tmp), s[j]);
-    for (int l = 0; l < 4; ++l) states[l][j] = tmp[l];
-  }
-}
-
-#endif  // x86 wide kernels
+#endif  // LEOPARD_SHA256_HAS_X86_WIDE
 
 // ---------------------------------------------------------------------------
 // ARMv8 crypto-extension kernel
@@ -608,116 +501,6 @@ LEOPARD_ARMCE_TARGET void compress_armce_x2(std::uint32_t* state_a, const std::u
 #endif  // LEOPARD_SHA256_HAS_ARMCE
 
 // ---------------------------------------------------------------------------
-// NEON transposed 4-wide kernel (aarch64 without the crypto extensions)
-// ---------------------------------------------------------------------------
-
-#if defined(__aarch64__)
-#define LEOPARD_SHA256_HAS_NEON_WIDE 1
-
-static inline uint32x4_t vn_add(uint32x4_t a, uint32x4_t b) { return vaddq_u32(a, b); }
-static inline uint32x4_t vn_xor(uint32x4_t a, uint32x4_t b) { return veorq_u32(a, b); }
-
-template <int N>
-static inline uint32x4_t vn_rotr(uint32x4_t x) {
-  return vorrq_u32(vshrq_n_u32(x, N), vshlq_n_u32(x, 32 - N));
-}
-static inline uint32x4_t vn_big_sigma0(uint32x4_t x) {
-  return vn_xor(vn_rotr<2>(x), vn_xor(vn_rotr<13>(x), vn_rotr<22>(x)));
-}
-static inline uint32x4_t vn_big_sigma1(uint32x4_t x) {
-  return vn_xor(vn_rotr<6>(x), vn_xor(vn_rotr<11>(x), vn_rotr<25>(x)));
-}
-static inline uint32x4_t vn_small_sigma0(uint32x4_t x) {
-  return vn_xor(vn_rotr<7>(x), vn_xor(vn_rotr<18>(x), vshrq_n_u32(x, 3)));
-}
-static inline uint32x4_t vn_small_sigma1(uint32x4_t x) {
-  return vn_xor(vn_rotr<17>(x), vn_xor(vn_rotr<19>(x), vshrq_n_u32(x, 10)));
-}
-static inline uint32x4_t vn_ch(uint32x4_t e, uint32x4_t f, uint32x4_t g) {
-  return vbslq_u32(e, f, g);  // bitwise select: (e & f) | (~e & g)
-}
-static inline uint32x4_t vn_maj(uint32x4_t a, uint32x4_t b, uint32x4_t c) {
-  return vn_xor(vandq_u32(a, b), vandq_u32(c, vn_xor(a, b)));
-}
-static inline uint32x4_t vn_trn1_64(uint32x4_t a, uint32x4_t b) {
-  return vreinterpretq_u32_u64(
-      vtrn1q_u64(vreinterpretq_u64_u32(a), vreinterpretq_u64_u32(b)));
-}
-static inline uint32x4_t vn_trn2_64(uint32x4_t a, uint32x4_t b) {
-  return vreinterpretq_u32_u64(
-      vtrn2q_u64(vreinterpretq_u64_u32(a), vreinterpretq_u64_u32(b)));
-}
-
-void compress_neon_x4(std::uint32_t* const* states, const std::uint8_t* const* blocks,
-                      std::size_t nblocks) {
-  uint32x4_t s[8];
-  std::uint32_t tmp[4];
-  for (int j = 0; j < 8; ++j) {
-    for (int l = 0; l < 4; ++l) tmp[l] = states[l][j];
-    s[j] = vld1q_u32(tmp);
-  }
-
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t off = blk * Sha256::kBlockSize;
-    uint32x4_t w[16];
-    for (int q = 0; q < 4; ++q) {
-      uint32x4_t r[4];
-      for (int l = 0; l < 4; ++l) {
-        r[l] = vreinterpretq_u32_u8(vrev32q_u8(vld1q_u8(blocks[l] + off + 16 * q)));
-      }
-      const uint32x4_t t0 = vtrn1q_u32(r[0], r[1]);
-      const uint32x4_t t1 = vtrn2q_u32(r[0], r[1]);
-      const uint32x4_t t2 = vtrn1q_u32(r[2], r[3]);
-      const uint32x4_t t3 = vtrn2q_u32(r[2], r[3]);
-      w[4 * q + 0] = vn_trn1_64(t0, t2);
-      w[4 * q + 1] = vn_trn1_64(t1, t3);
-      w[4 * q + 2] = vn_trn2_64(t0, t2);
-      w[4 * q + 3] = vn_trn2_64(t1, t3);
-    }
-
-    uint32x4_t a = s[0], b = s[1], c = s[2], d = s[3];
-    uint32x4_t e = s[4], f = s[5], g = s[6], h = s[7];
-    for (int i = 0; i < 64; ++i) {
-      uint32x4_t wi;
-      if (i < 16) {
-        wi = w[i];
-      } else {
-        wi = vn_add(vn_add(vn_small_sigma1(w[(i - 2) & 15]), w[(i - 7) & 15]),
-                    vn_add(vn_small_sigma0(w[(i - 15) & 15]), w[i & 15]));
-        w[i & 15] = wi;
-      }
-      const uint32x4_t t1 = vn_add(vn_add(h, vn_big_sigma1(e)),
-                                   vn_add(vn_ch(e, f, g),
-                                          vn_add(vdupq_n_u32(kRoundConstants[i]), wi)));
-      const uint32x4_t t2 = vn_add(vn_big_sigma0(a), vn_maj(a, b, c));
-      h = g;
-      g = f;
-      f = e;
-      e = vn_add(d, t1);
-      d = c;
-      c = b;
-      b = a;
-      a = vn_add(t1, t2);
-    }
-    s[0] = vn_add(s[0], a);
-    s[1] = vn_add(s[1], b);
-    s[2] = vn_add(s[2], c);
-    s[3] = vn_add(s[3], d);
-    s[4] = vn_add(s[4], e);
-    s[5] = vn_add(s[5], f);
-    s[6] = vn_add(s[6], g);
-    s[7] = vn_add(s[7], h);
-  }
-
-  for (int j = 0; j < 8; ++j) {
-    vst1q_u32(tmp, s[j]);
-    for (int l = 0; l < 4; ++l) states[l][j] = tmp[l];
-  }
-}
-
-#endif  // LEOPARD_SHA256_HAS_NEON_WIDE
-
-// ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
@@ -727,35 +510,36 @@ using CompressX2Fn = void (*)(std::uint32_t*, const std::uint8_t*, std::uint32_t
 using CompressWideFn = void (*)(std::uint32_t* const*, const std::uint8_t* const*,
                                 std::size_t);
 
+/// Adapts a two-block driver (SHA-NI, ARM CE) to the fixed-lane n-buffer
+/// signature, so every multi-buffer kernel is reached through one pointer.
+template <CompressX2Fn X2>
+void compress_lanes2(std::uint32_t* const* states, const std::uint8_t* const* blocks,
+                     std::size_t nblocks) {
+  X2(states[0], blocks[0], states[1], blocks[1], nblocks);
+}
+
 struct KernelOps {
   CompressFn compress = nullptr;
-  CompressX2Fn compress_x2 = nullptr;      // null: two compress() calls instead
   CompressWideFn compress_wide = nullptr;  // fixed-lane n-buffer driver (or null)
-  std::size_t wide_lanes = 2;              // lanes of the widest driver
+  std::size_t wide_lanes = 1;              // lanes compress_wide runs per pass
 };
 
 KernelOps ops_for(Sha256::Kernel k) {
   switch (k) {
 #if defined(LEOPARD_SHA256_HAS_SHANI)
     case Sha256::Kernel::kShaNi:
-      return {&compress_shani, &compress_shani_x2, nullptr, 2};
+      return {&compress_shani, &compress_lanes2<&compress_shani_x2>, 2};
 #endif
 #if defined(LEOPARD_SHA256_HAS_ARMCE)
     case Sha256::Kernel::kArmCe:
-      return {&compress_armce, &compress_armce_x2, nullptr, 2};
+      return {&compress_armce, &compress_lanes2<&compress_armce_x2>, 2};
 #endif
 #if defined(LEOPARD_SHA256_HAS_X86_WIDE)
     case Sha256::Kernel::kAvx2:
-      return {&compress_portable, nullptr, &compress_avx2_x8, 8};
-    case Sha256::Kernel::kSse2:
-      return {&compress_portable, nullptr, &compress_sse2_x4, 4};
-#endif
-#if defined(LEOPARD_SHA256_HAS_NEON_WIDE)
-    case Sha256::Kernel::kNeon:
-      return {&compress_portable, nullptr, &compress_neon_x4, 4};
+      return {&compress_portable, &compress_avx2_x8, 8};
 #endif
     default:
-      return {&compress_portable, nullptr, nullptr, 2};
+      return {&compress_portable, nullptr, 1};
   }
 }
 
@@ -764,17 +548,13 @@ Sha256::Kernel detect_kernel() {
   if (cpu_has_sha_ni()) return Sha256::Kernel::kShaNi;
 #endif
 #if defined(LEOPARD_SHA256_HAS_X86_WIDE)
-  // No SHA ISA: the transposed multi-buffer kernels still beat the portable
+  // No SHA ISA: the transposed multi-buffer kernel still beats the portable
   // loop wherever several streams are in flight (hash_many, batched votes);
-  // their single-stream path IS the portable loop, so nothing regresses.
+  // its single-stream path IS the portable loop, so nothing regresses.
   if (cpu_has_avx2_sha()) return Sha256::Kernel::kAvx2;
-  return Sha256::Kernel::kSse2;  // baseline x86-64
 #endif
 #if defined(LEOPARD_SHA256_HAS_ARMCE)
   if (cpu_has_arm_sha2()) return Sha256::Kernel::kArmCe;
-#endif
-#if defined(LEOPARD_SHA256_HAS_NEON_WIDE)
-  return Sha256::Kernel::kNeon;
 #endif
   return Sha256::Kernel::kPortable;
 }
@@ -810,18 +590,6 @@ bool Sha256::kernel_available(Kernel k) {
 #else
       return false;
 #endif
-    case Kernel::kSse2:
-#if defined(LEOPARD_SHA256_HAS_X86_WIDE)
-      return true;  // SSE2 is x86-64 baseline
-#else
-      return false;
-#endif
-    case Kernel::kNeon:
-#if defined(LEOPARD_SHA256_HAS_NEON_WIDE)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -844,10 +612,6 @@ const char* Sha256::kernel_name(Kernel k) {
       return "arm_ce";
     case Kernel::kAvx2:
       return "avx2_x8";
-    case Kernel::kSse2:
-      return "sse2_x4";
-    case Kernel::kNeon:
-      return "neon_x4";
   }
   return "unknown";
 }
@@ -940,14 +704,6 @@ void Sha256::export_midstate(std::uint32_t out[8]) const {
   std::memcpy(out, state_.data(), sizeof(state_));
 }
 
-void Sha256::compress_pair(std::uint32_t* state_a, const std::uint8_t* blocks_a,
-                           std::uint32_t* state_b, const std::uint8_t* blocks_b,
-                           std::size_t nblocks) {
-  std::uint32_t* states[2] = {state_a, state_b};
-  const std::uint8_t* blocks[2] = {blocks_a, blocks_b};
-  compress_wide(states, blocks, 2, nblocks);
-}
-
 std::size_t Sha256::wide_lanes() { return active_ops().wide_lanes; }
 
 void Sha256::compress_wide(std::uint32_t* const* states, const std::uint8_t* const* blocks,
@@ -961,8 +717,8 @@ void Sha256::compress_wide(std::uint32_t* const* states, const std::uint8_t* con
       ops.compress_wide(states + i, blocks + i, nblocks);
     }
     // Pad a short tail group with throwaway lanes rather than dropping to the
-    // (portable) single-stream path: garbage columns cost nothing extra, and
-    // lanes are independent so the real columns are unaffected.
+    // single-stream path: garbage columns cost nothing extra, and lanes are
+    // independent so the real columns are unaffected.
     if (count - i >= 2) {
       std::uint32_t dummy[8];
       std::memcpy(dummy, kInitialState.data(), sizeof(dummy));
@@ -976,61 +732,12 @@ void Sha256::compress_wide(std::uint32_t* const* states, const std::uint8_t* con
       i = count;
     }
   }
-  if (ops.compress_x2 != nullptr) {
-    for (; i + 2 <= count; i += 2) {
-      ops.compress_x2(states[i], blocks[i], states[i + 1], blocks[i + 1], nblocks);
-    }
-  }
   for (; i < count; ++i) ops.compress(states[i], blocks[i], nblocks);
 }
 
 // ---------------------------------------------------------------------------
 // Multi-buffer drivers
 // ---------------------------------------------------------------------------
-
-void Sha256::update_two(Sha256& a, std::span<const std::uint8_t> da, Sha256& b,
-                        std::span<const std::uint8_t> db) {
-  util::expects(!a.finalized_ && !b.finalized_, "Sha256 reused after finalize");
-  const KernelOps ops = active_ops();
-  a.total_bytes_ += da.size();
-  b.total_bytes_ += db.size();
-  da = a.drain_buffer(da);
-  db = b.drain_buffer(db);
-
-  const std::size_t na = da.size() / kBlockSize;
-  const std::size_t nb = db.size() / kBlockSize;
-  const std::size_t paired = ops.compress_x2 != nullptr ? std::min(na, nb) : 0;
-  if (paired > 0) {
-    ops.compress_x2(a.state_.data(), da.data(), b.state_.data(), db.data(), paired);
-  }
-  if (na > paired) {
-    ops.compress(a.state_.data(), da.data() + paired * kBlockSize, na - paired);
-  }
-  if (nb > paired) {
-    ops.compress(b.state_.data(), db.data() + paired * kBlockSize, nb - paired);
-  }
-  a.stash_tail(da.subspan(na * kBlockSize));
-  b.stash_tail(db.subspan(nb * kBlockSize));
-}
-
-void Sha256::finalize_two(Sha256& a, Sha256& b, DigestBytes& out_a, DigestBytes& out_b) {
-  util::expects(!a.finalized_ && !b.finalized_, "Sha256 reused after finalize");
-  a.finalized_ = true;
-  b.finalized_ = true;
-  std::array<std::uint8_t, 2 * kBlockSize> tail_a;
-  std::array<std::uint8_t, 2 * kBlockSize> tail_b;
-  const std::size_t blocks_a = a.build_final_blocks(tail_a.data());
-  const std::size_t blocks_b = b.build_final_blocks(tail_b.data());
-  const KernelOps ops = active_ops();
-  if (ops.compress_x2 != nullptr && blocks_a == blocks_b) {
-    ops.compress_x2(a.state_.data(), tail_a.data(), b.state_.data(), tail_b.data(), blocks_a);
-  } else {
-    ops.compress(a.state_.data(), tail_a.data(), blocks_a);
-    ops.compress(b.state_.data(), tail_b.data(), blocks_b);
-  }
-  a.emit_digest(out_a);
-  b.emit_digest(out_b);
-}
 
 void Sha256::update_many(Sha256* const* ctxs, const std::span<const std::uint8_t>* data,
                          std::size_t count) {
@@ -1124,44 +831,24 @@ void Sha256::finalize_many(Sha256* const* ctxs, DigestBytes* out, std::size_t co
 
 namespace {
 
-/// hash_many over one row range, on the calling thread. Wide batches when the
-/// active kernel has an n-lane driver; the two-lane pairing otherwise.
+/// hash_many over one row range, on the calling thread: groups of up to
+/// kMaxBatch rows through the multi-buffer drivers.
 void hash_many_rows(std::span<const std::uint8_t> prefix, const std::uint8_t* base,
                     std::size_t stride, std::size_t len, std::size_t count,
                     Sha256::DigestBytes* out) {
-  std::size_t i = 0;
-  const std::size_t wide = Sha256::wide_lanes();
-  if (wide > 2) {
-    while (count - i >= 3) {
-      const std::size_t g = std::min(wide, count - i);
-      Sha256 ctxs[Sha256::kMaxBatch];
-      Sha256* ptrs[Sha256::kMaxBatch];
-      std::span<const std::uint8_t> rows[Sha256::kMaxBatch];
-      for (std::size_t l = 0; l < g; ++l) {
-        if (!prefix.empty()) ctxs[l].update(prefix);
-        ptrs[l] = &ctxs[l];
-        rows[l] = {base + (i + l) * stride, len};
-      }
-      Sha256::update_many(ptrs, rows, g);
-      Sha256::finalize_many(ptrs, out + i, g);
-      i += g;
+  for (std::size_t i = 0; i < count;) {
+    const std::size_t g = std::min(Sha256::kMaxBatch, count - i);
+    Sha256 ctxs[Sha256::kMaxBatch];
+    Sha256* ptrs[Sha256::kMaxBatch];
+    std::span<const std::uint8_t> rows[Sha256::kMaxBatch];
+    for (std::size_t l = 0; l < g; ++l) {
+      if (!prefix.empty()) ctxs[l].update(prefix);
+      ptrs[l] = &ctxs[l];
+      rows[l] = {base + (i + l) * stride, len};
     }
-  }
-  for (; i + 2 <= count; i += 2) {
-    Sha256 a;
-    Sha256 b;
-    if (!prefix.empty()) {
-      a.update(prefix);
-      b.update(prefix);
-    }
-    Sha256::update_two(a, {base + i * stride, len}, b, {base + (i + 1) * stride, len});
-    Sha256::finalize_two(a, b, out[i], out[i + 1]);
-  }
-  if (i < count) {
-    Sha256 c;
-    if (!prefix.empty()) c.update(prefix);
-    c.update({base + i * stride, len});
-    out[i] = c.finalize();
+    Sha256::update_many(ptrs, rows, g);
+    Sha256::finalize_many(ptrs, out + i, g);
+    i += g;
   }
 }
 

@@ -17,16 +17,14 @@
 //               each register is stream j), the message schedule computed
 //               with AVX2 32-bit ops. Single-stream calls fall back to the
 //               portable loop — this kernel only pays off when several
-//               streams are available;
-//   kSse2     — the same technique at 4 lanes on baseline x86-64 vectors;
-//   kNeon     — the 4-lane variant on aarch64 without the crypto extensions.
+//               streams are available.
 //
-// On top of the single-stream context there is a multi-buffer interface:
+// On top of the single-stream context there is one multi-buffer interface:
 // hash_many() and the update_many()/finalize_many() drivers run up to
-// wide_lanes() independent message streams through the compression function
-// together — truly simultaneously on the wide kernels, back to back (so the
-// hardware dependency chains overlap in the out-of-order window) on the
-// two-lane kShaNi/kArmCe drivers. Merkle leaf and interior hashing, the
+// kMaxBatch independent message streams through compress_wide(), which
+// drives them wide_lanes() at a time — truly simultaneously on kAvx2, back to
+// back (so the hardware dependency chains overlap in the out-of-order window)
+// on the two-lane kShaNi/kArmCe drivers. Merkle leaf and interior hashing, the
 // HMAC-based vote evaluation, and batched vote verification all have this
 // n-lane shape.
 #pragma once
@@ -47,10 +45,9 @@ class Sha256 {
   // --- kernel dispatch ------------------------------------------------------
 
   /// Which compression-function implementation update/finalize dispatch to.
-  /// kAvx2/kSse2/kNeon are multi-buffer kernels: their single-stream path is
-  /// the portable loop, their n-lane path runs 8 (AVX2) or 4 (SSE2/NEON)
-  /// streams per pass.
-  enum class Kernel { kPortable, kShaNi, kArmCe, kAvx2, kSse2, kNeon };
+  /// kAvx2 is a multi-buffer kernel: its single-stream path is the portable
+  /// loop, its n-lane path runs 8 streams per pass.
+  enum class Kernel { kPortable, kShaNi, kArmCe, kAvx2 };
 
   /// Largest batch update_many/finalize_many/compress_wide accept per call.
   static constexpr std::size_t kMaxBatch = 16;
@@ -84,32 +81,22 @@ class Sha256 {
   // --- multi-buffer interface -----------------------------------------------
 
   /// Hashes `count` equal-size rows laid out at base + i*stride (row i is
-  /// `len` bytes): out[i] = H(prefix || row_i). Rows are paired into the
-  /// two-lane drivers below; this is the Merkle hash_leaves shape, where the
-  /// rows are erasure-coded shards back to back in an arena and `prefix` is
-  /// the 1-byte domain-separation tag.
+  /// `len` bytes): out[i] = H(prefix || row_i). Rows run in kMaxBatch groups
+  /// through update_many/finalize_many. This is the Merkle hash_leaves shape,
+  /// where the rows are erasure-coded shards back to back in an arena and
+  /// `prefix` is the 1-byte domain-separation tag.
   static void hash_many(std::span<const std::uint8_t> prefix, const std::uint8_t* base,
                         std::size_t stride, std::size_t len, std::size_t count,
                         DigestBytes* out);
 
-  /// Absorbs `da` into `a` and `db` into `b`, pairing full blocks of the two
-  /// streams through the kernel's two-block driver. Equivalent to
-  /// a.update(da); b.update(db).
-  static void update_two(Sha256& a, std::span<const std::uint8_t> da, Sha256& b,
-                         std::span<const std::uint8_t> db);
-
-  /// Finalizes both contexts, pairing their padding blocks when the streams
-  /// are shaped alike. Equivalent to out_a = a.finalize(); out_b = b.finalize().
-  static void finalize_two(Sha256& a, Sha256& b, DigestBytes& out_a, DigestBytes& out_b);
-
-  /// Lanes the active kernel's widest multi-buffer driver runs per pass: 8
-  /// for kAvx2, 4 for kSse2/kNeon, 2 everywhere else (the paired drivers).
+  /// Lanes the active kernel's multi-buffer driver runs per pass: 8 for
+  /// kAvx2, 2 for kShaNi/kArmCe (the paired drivers), 1 for kPortable.
   static std::size_t wide_lanes();
 
   /// Absorbs data[i] into *ctxs[i] for i in [0, count), count <= kMaxBatch.
   /// Streams that stay block-aligned in lockstep (equal shapes — the
-  /// hash_many case) run through the n-lane kernel; stragglers fall back to
-  /// pairs/singles. Equivalent to ctxs[i]->update(data[i]) for each i.
+  /// hash_many case) run through the n-lane kernel; stragglers peel off into
+  /// smaller compress_wide calls. Equivalent to ctxs[i]->update(data[i]) for each i.
   static void update_many(Sha256* const* ctxs, const std::span<const std::uint8_t>* data,
                           std::size_t count);
 
@@ -122,22 +109,16 @@ class Sha256 {
 
   /// Exports the 8-word compression state. Only valid at a block boundary
   /// (no buffered partial input); HMAC midstates qualify by construction.
-  /// Lets fused paths (HmacContext::mac_tagged_cross) run prepared padded
-  /// blocks through compress_pair without the incremental-update machinery.
+  /// Lets fused paths (HmacContext::mac_tagged_many) run prepared padded
+  /// blocks through compress_wide without the incremental-update machinery.
   void export_midstate(std::uint32_t out[8]) const;
 
-  /// Two-lane raw compression: advances `state_a` over `blocks_a` and
-  /// `state_b` over `blocks_b` (`nblocks` 64-byte blocks each) through the
-  /// active kernel's paired driver. Blocks must be fully padded already.
-  static void compress_pair(std::uint32_t* state_a, const std::uint8_t* blocks_a,
-                            std::uint32_t* state_b, const std::uint8_t* blocks_b,
-                            std::size_t nblocks);
-
   /// n-lane raw compression: advances states[i] over blocks[i] (`nblocks`
-  /// 64-byte blocks each) for i in [0, count), count <= kMaxBatch. Full
-  /// wide_lanes() groups run through the wide kernel; the remainder runs as
-  /// pairs/singles. Lanes are independent — sharing a blocks pointer across
-  /// lanes is allowed (the batched-HMAC inner-block shape).
+  /// 64-byte blocks each) for i in [0, count), count <= kMaxBatch. Blocks
+  /// must be fully padded already. Full wide_lanes() groups run through the
+  /// kernel's multi-buffer driver, a tail of two or more lanes as one padded
+  /// group, and a last lane alone. Lanes are independent — sharing a blocks
+  /// pointer across lanes is allowed.
   static void compress_wide(std::uint32_t* const* states, const std::uint8_t* const* blocks,
                             std::size_t count, std::size_t nblocks);
 

@@ -1,6 +1,5 @@
 #include "crypto/threshold_sig.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "crypto/hmac.hpp"
@@ -33,17 +32,33 @@ ThresholdScheme::ThresholdScheme(std::uint32_t n, std::uint32_t threshold, std::
   }
 }
 
+void ThresholdScheme::evaluate_batch(const HmacContext* const* ctxs, std::size_t count,
+                                     std::span<const std::uint8_t> message,
+                                     SignatureBytes* out) {
+  // 48-byte output per signer: HMAC(key, 0x00 || m) || first 16 bytes of
+  // HMAC(key, 0x01 || m). All 2·count MACs share the message and carry no
+  // data dependency on each other, so they run as one n-lane batch.
+  util::expects(count <= kEvalBatch, "evaluate_batch: batch too large");
+  const HmacContext* lanes[Sha256::kMaxBatch] = {};
+  std::uint8_t tags[Sha256::kMaxBatch] = {};
+  for (std::size_t i = 0; i < count; ++i) {
+    lanes[i] = lanes[count + i] = ctxs[i];
+    tags[i] = 0x00;
+    tags[count + i] = 0x01;
+  }
+  Sha256::DigestBytes h[Sha256::kMaxBatch];
+  HmacContext::mac_tagged_many(lanes, tags, 2 * count, message, h);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::memcpy(out[i].data(), h[i].data(), 32);
+    std::memcpy(out[i].data() + 32, h[count + i].data(), 16);
+  }
+}
+
 SignatureBytes ThresholdScheme::evaluate(const HmacContext& ctx,
-                                         std::span<const std::uint8_t> message) const {
-  // 48-byte output: HMAC(key, 0x00 || m) || first 16 bytes of HMAC(key, 0x01 || m).
-  // The two domain-separated MACs share one message, so their inner and outer
-  // hashes run as a two-lane pair.
-  Sha256::DigestBytes h0;
-  Sha256::DigestBytes h1;
-  ctx.mac_tagged_pair(0x00, 0x01, message, h0, h1);
-  SignatureBytes out{};
-  std::memcpy(out.data(), h0.data(), 32);
-  std::memcpy(out.data() + 32, h1.data(), 16);
+                                         std::span<const std::uint8_t> message) {
+  const HmacContext* lanes[1] = {&ctx};
+  SignatureBytes out;
+  evaluate_batch(lanes, 1, message, &out);
   return out;
 }
 
@@ -59,57 +74,29 @@ bool ThresholdScheme::verify_share(std::span<const std::uint8_t> message,
   return evaluate(signer_ctxs_[share.signer], message) == share.bytes;
 }
 
-void ThresholdScheme::evaluate_batch(const HmacContext* const* ctxs, std::size_t count,
-                                     std::span<const std::uint8_t> message,
-                                     SignatureBytes* out) const {
-  // Same 48-byte construction as evaluate(), but the signers' MACs run as
-  // cross-keyed n-lane batches per tag: the tag-0x00 pass and the tag-0x01
-  // pass carry no data dependency on each other, and within a pass every
-  // lane shares the prepared inner block, so a whole batch of shares costs
-  // four compress_wide passes regardless of batch size (up to wide_lanes()).
-  Sha256::DigestBytes h0[Sha256::kMaxBatch];
-  Sha256::DigestBytes h1[Sha256::kMaxBatch];
-  HmacContext::mac_tagged_cross_many(ctxs, count, 0x00, message, h0);
-  HmacContext::mac_tagged_cross_many(ctxs, count, 0x01, message, h1);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::memcpy(out[i].data(), h0[i].data(), 32);
-    std::memcpy(out[i].data() + 32, h1[i].data(), 16);
-  }
-}
-
 std::optional<ThresholdSignature> ThresholdScheme::combine(
     std::span<const std::uint8_t> message, std::span<const SignatureShare> shares) const {
   // Count distinct signers with valid shares. Per-share validity is a pure
-  // function, so it is computed first — SIMD-batched (groups of up to
-  // wide_lanes() shares per cross-keyed n-lane pass, see evaluate_batch)
-  // and, for combine bursts, fanned across the worker pool — then folded
-  // into a distinctness bitmap serially. The fold bitmap, not a linear
-  // scan: the scan was O(quorum²) at n >= 100.
-  const std::size_t batch =
-      std::min<std::size_t>(std::max<std::size_t>(Sha256::wide_lanes(), 2),
-                            Sha256::kMaxBatch);
+  // function, so it is computed first — SIMD-batched (kEvalBatch in-range
+  // shares per evaluate_batch call) and, for combine bursts, fanned across
+  // the worker pool — then folded into a distinctness bitmap serially. The
+  // fold bitmap, not a linear scan: the scan was O(quorum²) at n >= 100.
   std::vector<std::uint8_t> valid(shares.size(), 0);
   const auto verify_range = [&](std::size_t i, std::size_t end) {
-    while (end - i >= 2) {
-      const std::size_t g = std::min(batch, end - i);
-      const HmacContext* ctxs[Sha256::kMaxBatch];
-      bool in_range = true;
-      for (std::size_t l = 0; l < g && in_range; ++l) {
-        in_range = shares[i + l].signer < n_;
-        if (in_range) ctxs[l] = &signer_ctxs_[shares[i + l].signer];
+    while (i < end) {
+      const HmacContext* ctxs[kEvalBatch];
+      std::size_t at[kEvalBatch];
+      std::size_t g = 0;
+      for (; i < end && g < kEvalBatch; ++i) {
+        if (shares[i].signer >= n_) continue;  // out of range: stays invalid
+        ctxs[g] = &signer_ctxs_[shares[i].signer];
+        at[g++] = i;
       }
-      if (!in_range) break;  // fall back to singles
-      SignatureBytes expected[Sha256::kMaxBatch];
+      SignatureBytes expected[kEvalBatch];
       evaluate_batch(ctxs, g, message, expected);
       for (std::size_t l = 0; l < g; ++l) {
-        valid[i + l] = shares[i + l].bytes == expected[l] ? 1 : 0;
+        valid[at[l]] = shares[at[l]].bytes == expected[l] ? 1 : 0;
       }
-      i += g;
-    }
-    for (; i < end; ++i) {
-      const auto& share = shares[i];
-      if (share.signer >= n_) continue;
-      valid[i] = evaluate(signer_ctxs_[share.signer], message) == share.bytes ? 1 : 0;
     }
   };
 
@@ -120,8 +107,8 @@ std::optional<ThresholdSignature> ThresholdScheme::combine(
   // combine result — are identical for every pool size; small bursts and
   // the 1-lane pool run inline, bit-for-bit the old serial path.
   auto& pool = util::WorkerPool::global();
-  if (pool.lanes() > 1 && shares.size() >= 2 * batch) {
-    pool.for_ranges(shares.size(), batch,
+  if (pool.lanes() > 1 && shares.size() >= 2 * kEvalBatch) {
+    pool.for_ranges(shares.size(), kEvalBatch,
                     [&](std::size_t, std::size_t begin, std::size_t end) {
                       verify_range(begin, end);
                     });

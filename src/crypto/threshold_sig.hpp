@@ -103,15 +103,18 @@ class ThresholdScheme {
   }
 
  private:
-  [[nodiscard]] SignatureBytes evaluate(const HmacContext& ctx,
-                                        std::span<const std::uint8_t> message) const;
+  /// Most signers evaluate_batch takes per call: two MAC lanes each.
+  static constexpr std::size_t kEvalBatch = Sha256::kMaxBatch / 2;
 
-  /// Evaluates `count` signers' 48-byte values over one message with
-  /// cross-keyed n-lane passes (batched vote verification; see combine()).
-  /// One mac_tagged_cross_many call per domain tag — up to
-  /// Sha256::wide_lanes() shares' MACs per compression pass.
-  void evaluate_batch(const HmacContext* const* ctxs, std::size_t count,
-                      std::span<const std::uint8_t> message, SignatureBytes* out) const;
+  /// The 48-byte value of one key over `message`: evaluate_batch's count = 1.
+  [[nodiscard]] static SignatureBytes evaluate(const HmacContext& ctx,
+                                               std::span<const std::uint8_t> message);
+
+  /// Evaluates `count` <= kEvalBatch signers' 48-byte values over one
+  /// message with one HmacContext::mac_tagged_many call over 2·count lanes
+  /// (tag 0x00 lanes, then tag 0x01 lanes).
+  static void evaluate_batch(const HmacContext* const* ctxs, std::size_t count,
+                             std::span<const std::uint8_t> message, SignatureBytes* out);
 
   std::uint32_t n_;
   std::uint32_t threshold_;

@@ -368,10 +368,13 @@ void run_partition_scenario(const std::vector<PartitionWindow>& windows,
   }
 
   const auto expected_partitions = 3 * windows.size();
-  EXPECT_EQ(std::stoull(proxy_report.at("partitions_started")), expected_partitions);
-  EXPECT_EQ(std::stoull(proxy_report.at("partitions_healed")), expected_partitions);
-  EXPECT_GT(std::stoull(proxy_report.at("links_opened")), 0u);
-  EXPECT_GT(std::stoull(proxy_report.at("chunks_forwarded")), 0u);
+  EXPECT_EQ(proxy_report.at("role"), "chaos_proxy");
+  EXPECT_EQ(std::stoull(proxy_report.at("leopard_proxy_partitions_started_total")),
+            expected_partitions);
+  EXPECT_EQ(std::stoull(proxy_report.at("leopard_proxy_partitions_healed_total")),
+            expected_partitions);
+  EXPECT_GT(std::stoull(proxy_report.at("leopard_proxy_links_opened_total")), 0u);
+  EXPECT_GT(std::stoull(proxy_report.at("leopard_proxy_chunks_forwarded_total")), 0u);
 }
 
 }  // namespace

@@ -36,8 +36,7 @@ class Sha256KernelGuard {
 std::vector<lc::Sha256::Kernel> all_available_kernels() {
   std::vector<lc::Sha256::Kernel> out;
   for (const auto k : {lc::Sha256::Kernel::kPortable, lc::Sha256::Kernel::kShaNi,
-                       lc::Sha256::Kernel::kArmCe, lc::Sha256::Kernel::kAvx2,
-                       lc::Sha256::Kernel::kSse2, lc::Sha256::Kernel::kNeon}) {
+                       lc::Sha256::Kernel::kArmCe, lc::Sha256::Kernel::kAvx2}) {
     if (lc::Sha256::kernel_available(k)) out.push_back(k);
   }
   return out;
@@ -176,71 +175,6 @@ TEST(HmacContext, ReusedContextMatchesOneShot) {
   }
 }
 
-TEST(HmacContext, PairApisMatchSequentialMacs) {
-  const auto key = random_bytes(32, 901);
-  const lc::HmacContext ctx(key);
-  for (const std::size_t len : {std::size_t{0}, std::size_t{40}, std::size_t{64},
-                                std::size_t{1000}}) {
-    const auto m0 = random_bytes(len, 902 + len);
-    const auto m1 = random_bytes(len + 17, 903 + len);  // asymmetric lengths
-    lc::Sha256::DigestBytes p0, p1;
-    ctx.mac_pair(m0, m1, p0, p1);
-    EXPECT_EQ(p0, ctx.mac(m0)) << "len=" << len;
-    EXPECT_EQ(p1, ctx.mac(m1)) << "len=" << len;
-
-    // Tagged pair: HMAC(key, tag || m) without materializing the concat.
-    lc::Sha256::DigestBytes t0, t1;
-    ctx.mac_tagged_pair(0x00, 0x01, m0, t0, t1);
-    lu::Bytes cat0, cat1;
-    cat0.push_back(0x00);
-    cat0.insert(cat0.end(), m0.begin(), m0.end());
-    cat1.push_back(0x01);
-    cat1.insert(cat1.end(), m0.begin(), m0.end());
-    EXPECT_EQ(t0, ctx.mac(cat0)) << "len=" << len;
-    EXPECT_EQ(t1, ctx.mac(cat1)) << "len=" << len;
-  }
-}
-
-TEST(HmacContext, TaggedCrossMatchesSequentialMacsAcrossKeys) {
-  const lc::HmacContext ctx_a(random_bytes(32, 910));
-  const lc::HmacContext ctx_b(random_bytes(32, 911));
-  // Sweep across the fused single-block boundary (tag+msg <= 54 bytes fuses;
-  // longer messages fall back to the incremental path).
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{32}, std::size_t{54}, std::size_t{55}, std::size_t{200}}) {
-    const auto msg = random_bytes(len, 912 + len);
-    for (const std::uint8_t tag : {std::uint8_t{0x00}, std::uint8_t{0x01}}) {
-      lc::Sha256::DigestBytes ca, cb;
-      lc::HmacContext::mac_tagged_cross(ctx_a, ctx_b, tag, msg, ca, cb);
-      lu::Bytes cat;
-      cat.push_back(tag);
-      cat.insert(cat.end(), msg.begin(), msg.end());
-      EXPECT_EQ(ca, ctx_a.mac(cat)) << "len=" << len << " tag=" << int(tag);
-      EXPECT_EQ(cb, ctx_b.mac(cat)) << "len=" << len << " tag=" << int(tag);
-    }
-  }
-}
-
-TEST(HmacContext, TaggedCrossParityUnderEveryKernel) {
-  const auto prev = lc::Sha256::active_kernel();
-  const lc::HmacContext ctx_a(random_bytes(32, 920));
-  const lc::HmacContext ctx_b(random_bytes(32, 921));
-  const auto msg = random_bytes(32, 922);  // the vote shape: a digest
-  lu::Bytes cat;
-  cat.push_back(0x01);
-  cat.insert(cat.end(), msg.begin(), msg.end());
-  for (const auto k : {lc::Sha256::Kernel::kPortable, lc::Sha256::Kernel::kShaNi,
-                       lc::Sha256::Kernel::kArmCe}) {
-    if (!lc::Sha256::kernel_available(k)) continue;
-    lc::Sha256::force_kernel(k);
-    lc::Sha256::DigestBytes ca, cb;
-    lc::HmacContext::mac_tagged_cross(ctx_a, ctx_b, 0x01, msg, ca, cb);
-    EXPECT_EQ(ca, ctx_a.mac(cat)) << lc::Sha256::kernel_name(k);
-    EXPECT_EQ(cb, ctx_b.mac(cat)) << lc::Sha256::kernel_name(k);
-  }
-  lc::Sha256::force_kernel(prev);
-}
-
 // ---------------------------------------------------------------------------
 // Kernel dispatch and parity
 // ---------------------------------------------------------------------------
@@ -316,39 +250,14 @@ TEST(Sha256Kernel, ChunkedIncrementalUpdatesMatchOneShot) {
   }
 }
 
-TEST(Sha256Kernel, UpdateTwoMatchesSequentialForAsymmetricStreams) {
-  Sha256KernelGuard guard;
-  for (const auto kernel : all_available_kernels()) {
-    lc::Sha256::force_kernel(kernel);
-    // Asymmetric lengths force the paired driver through its unpaired tails.
-    for (const auto [la, lb] : {std::pair<std::size_t, std::size_t>{0, 0},
-                                {1, 200},
-                                {64, 64},
-                                {63, 65},
-                                {1000, 5000},
-                                {4096, 4096}}) {
-      const auto da = random_bytes(la, la * 31 + 1);
-      const auto db = random_bytes(lb, lb * 37 + 2);
-      lc::Sha256 a, b;
-      lc::Sha256::update_two(a, da, b, db);
-      lc::Sha256::DigestBytes out_a, out_b;
-      lc::Sha256::finalize_two(a, b, out_a, out_b);
-      EXPECT_EQ(out_a, lc::Sha256::hash(da))
-          << "la=" << la << " kernel=" << lc::Sha256::kernel_name(kernel);
-      EXPECT_EQ(out_b, lc::Sha256::hash(db))
-          << "lb=" << lb << " kernel=" << lc::Sha256::kernel_name(kernel);
-    }
-  }
-}
-
 TEST(Sha256Kernel, HashManyMatchesIndividualHashes) {
   Sha256KernelGuard guard;
   const std::uint8_t tag = 0x00;
   for (const auto kernel : all_available_kernels()) {
     lc::Sha256::force_kernel(kernel);
-    // Counts straddling the wide-batch boundaries (8-lane groups, padded tail
-    // groups, pair and single remainders), strides equal to and larger than
-    // the row length.
+    // Counts straddling the batch boundaries (kMaxBatch groups, 8-lane and
+    // 2-lane kernel groups, padded tail groups, single remainders), strides
+    // equal to and larger than the row length.
     for (const std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                     std::size_t{7}, std::size_t{8}, std::size_t{9},
                                     std::size_t{16}, std::size_t{31}}) {
@@ -372,9 +281,9 @@ TEST(Sha256Kernel, HashManyMatchesIndividualHashes) {
 
 TEST(Sha256Kernel, WideKernelParityVsPortableAcrossSizes) {
   Sha256KernelGuard guard;
-  // The 8-wide/4-wide transposed kernels must be byte-identical to the
-  // portable oracle from the empty message up to 1 MiB rows, including every
-  // padding boundary around one block.
+  // The multi-buffer drivers must be byte-identical to the portable oracle
+  // from the empty message up to 1 MiB rows, including every padding
+  // boundary around one block.
   const std::size_t sizes[] = {0,  1,  31,  32,  54,   55,    56,     63,
                                64, 65, 127, 128, 1000, 65536, 1u << 20};
   for (const std::size_t len : sizes) {
@@ -396,94 +305,90 @@ TEST(Sha256Kernel, WideKernelParityVsPortableAcrossSizes) {
 
 TEST(Sha256Kernel, UpdateManyMatchesSequentialAcrossChunkBoundaries) {
   Sha256KernelGuard guard;
+  // Asymmetric streams, equal-length twins among them: lanes top up carry
+  // buffers, run dry mid-batch, and straddle block boundaries at different
+  // offsets.
+  constexpr std::size_t kLanes = 12;
+  const std::size_t lens[kLanes] = {0, 0, 1, 63, 64, 64, 65, 200, 1000, 4096, 4096, 5000};
+  std::vector<lu::Bytes> msgs;
+  for (std::size_t l = 0; l < kLanes; ++l) msgs.push_back(random_bytes(lens[l], 70 + l));
   for (const auto kernel : all_available_kernels()) {
     lc::Sha256::force_kernel(kernel);
-    // Feed 6 asymmetric streams through update_many in deterministically
-    // ragged chunks: lanes top up carry buffers, run dry mid-batch, and
-    // straddle block boundaries at different offsets.
-    constexpr std::size_t kLanes = 6;
-    const std::size_t lens[kLanes] = {0, 1, 63, 64, 200, 5000};
-    std::vector<lu::Bytes> msgs;
-    for (std::size_t l = 0; l < kLanes; ++l) msgs.push_back(random_bytes(lens[l], 70 + l));
-
-    lc::Sha256 ctxs[kLanes];
-    lc::Sha256* ptrs[kLanes];
-    for (std::size_t l = 0; l < kLanes; ++l) ptrs[l] = &ctxs[l];
-    lu::Rng rng(606);
-    std::size_t off[kLanes] = {};
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      std::span<const std::uint8_t> chunks[kLanes];
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const std::size_t left = msgs[l].size() - off[l];
-        const std::size_t take = std::min<std::size_t>(rng.uniform(150), left);
-        chunks[l] = {msgs[l].data() + off[l], take};
-        off[l] += take;
-        progressed = progressed || left > 0;
+    // Feed every stream whole in one update_many call, then again in
+    // deterministically ragged chunks.
+    for (const bool ragged : {false, true}) {
+      lc::Sha256 ctxs[kLanes];
+      lc::Sha256* ptrs[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) ptrs[l] = &ctxs[l];
+      lu::Rng rng(606);
+      std::size_t off[kLanes] = {};
+      bool progressed = true;
+      while (progressed) {
+        progressed = false;
+        std::span<const std::uint8_t> chunks[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const std::size_t left = msgs[l].size() - off[l];
+          const std::size_t take = ragged ? std::min<std::size_t>(rng.uniform(150), left) : left;
+          chunks[l] = {msgs[l].data() + off[l], take};
+          off[l] += take;
+          progressed = progressed || left > 0;
+        }
+        lc::Sha256::update_many(ptrs, chunks, kLanes);
       }
-      lc::Sha256::update_many(ptrs, chunks, kLanes);
-    }
-    lc::Sha256::DigestBytes out[kLanes];
-    lc::Sha256::finalize_many(ptrs, out, kLanes);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      EXPECT_EQ(out[l], lc::Sha256::hash(msgs[l]))
-          << "lane=" << l << " kernel=" << lc::Sha256::kernel_name(kernel);
+      lc::Sha256::DigestBytes out[kLanes];
+      lc::Sha256::finalize_many(ptrs, out, kLanes);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        EXPECT_EQ(out[l], lc::Sha256::hash(msgs[l]))
+            << "lane=" << l << " ragged=" << ragged
+            << " kernel=" << lc::Sha256::kernel_name(kernel);
+      }
     }
   }
 }
 
-TEST(HmacContext, TaggedCrossManyMatchesPerKeyMacs) {
+TEST(HmacContext, TaggedManyMatchesOneShotMacsUnderEveryKernel) {
   Sha256KernelGuard guard;
-  constexpr std::size_t kKeys = 9;  // exceeds one 8-lane group
+  constexpr std::size_t kMax = lc::Sha256::kMaxBatch;
+  // A distinct key and tag per lane within one call. Key lengths include
+  // keys longer than a block (hashed first); tags include the threshold
+  // scheme's 0x00/0x01 and arbitrary bytes.
+  std::vector<lu::Bytes> keys;
   std::vector<lc::HmacContext> ctxs;
-  for (std::size_t i = 0; i < kKeys; ++i) ctxs.emplace_back(random_bytes(32, 930 + i));
+  std::uint8_t tags[kMax];
+  for (std::size_t i = 0; i < kMax; ++i) {
+    keys.push_back(random_bytes(1 + 9 * i, 930 + i));
+    ctxs.emplace_back(keys.back());
+    tags[i] = static_cast<std::uint8_t>(i < 2 ? i : 37 * i + 5);
+  }
+  const lc::HmacContext* ptrs[kMax + 1];
+  for (std::size_t i = 0; i < kMax; ++i) ptrs[i] = &ctxs[i];
+  ptrs[kMax] = &ctxs[0];
+
   for (const auto kernel : all_available_kernels()) {
     lc::Sha256::force_kernel(kernel);
-    // Fused (<= 54 bytes) and incremental-fallback message lengths, every
-    // batch size from a single lane through the padded and full wide groups.
-    for (const std::size_t len : {std::size_t{32}, std::size_t{54}, std::size_t{200}}) {
+    // 0..130 bytes: across the fused one-block boundary at 54/55 and into
+    // multi-block inner hashes.
+    for (std::size_t len = 0; len <= 130; ++len) {
       const auto msg = random_bytes(len, 940 + len);
-      lu::Bytes cat;
-      cat.push_back(0x01);
-      cat.insert(cat.end(), msg.begin(), msg.end());
-      for (std::size_t count = 1; count <= kKeys; ++count) {
-        const lc::HmacContext* ptrs[kKeys];
-        for (std::size_t i = 0; i < count; ++i) ptrs[i] = &ctxs[i];
-        lc::Sha256::DigestBytes out[kKeys];
-        lc::HmacContext::mac_tagged_cross_many(ptrs, count, 0x01, msg, out);
+      lc::Sha256::DigestBytes expected[kMax];
+      for (std::size_t i = 0; i < kMax; ++i) {
+        lu::Bytes cat{tags[i]};
+        cat.insert(cat.end(), msg.begin(), msg.end());
+        expected[i] = lc::hmac_sha256(keys[i], cat);
+      }
+      for (const std::size_t count : {0, 1, 2, 3, 7, 8, 9, 15, 16}) {
+        lc::Sha256::DigestBytes out[kMax];
+        lc::HmacContext::mac_tagged_many(ptrs, tags, count, msg, out);
         for (std::size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(out[i], ctxs[i].mac(cat))
-              << "i=" << i << " count=" << count << " len=" << len
-              << " kernel=" << lc::Sha256::kernel_name(kernel);
+          EXPECT_EQ(out[i], expected[i]) << "i=" << i << " count=" << count << " len=" << len
+                                         << " kernel=" << lc::Sha256::kernel_name(kernel);
         }
       }
     }
   }
-}
 
-TEST(HmacContext, TaggedPairFusedBoundarySweepUnderEveryKernel) {
-  Sha256KernelGuard guard;
-  const lc::HmacContext ctx(random_bytes(32, 950));
-  // The fused single-block fast path (satellite of the sign_share/verify_share
-  // reuse): sweep across the one-block padding boundary at 54/55 bytes.
-  for (const auto kernel : all_available_kernels()) {
-    lc::Sha256::force_kernel(kernel);
-    for (const std::size_t len :
-         {std::size_t{0}, std::size_t{1}, std::size_t{32}, std::size_t{53}, std::size_t{54},
-          std::size_t{55}, std::size_t{64}, std::size_t{200}}) {
-      const auto msg = random_bytes(len, 960 + len);
-      lc::Sha256::DigestBytes t0, t1;
-      ctx.mac_tagged_pair(0x00, 0x01, msg, t0, t1);
-      lu::Bytes cat0, cat1;
-      cat0.push_back(0x00);
-      cat0.insert(cat0.end(), msg.begin(), msg.end());
-      cat1.push_back(0x01);
-      cat1.insert(cat1.end(), msg.begin(), msg.end());
-      EXPECT_EQ(t0, ctx.mac(cat0)) << "len=" << len
-                                   << " kernel=" << lc::Sha256::kernel_name(kernel);
-      EXPECT_EQ(t1, ctx.mac(cat1)) << "len=" << len
-                                   << " kernel=" << lc::Sha256::kernel_name(kernel);
-    }
-  }
+  std::uint8_t tags17[kMax + 1] = {};
+  lc::Sha256::DigestBytes out17[kMax + 1];
+  EXPECT_THROW(lc::HmacContext::mac_tagged_many(ptrs, tags17, kMax + 1, {}, out17),
+               lu::ContractViolation);
 }

@@ -25,7 +25,8 @@
 //     own reconnect machinery restores the links.
 //
 // The proxy is protocol-agnostic (it never parses frames) and exits with a
-// key=value stats report on SIGTERM/SIGINT or when --run-for elapses.
+// key=value stats report (`role=chaos_proxy`, then every leopard_proxy_*
+// series) on SIGTERM/SIGINT or when --run-for elapses.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -495,25 +496,11 @@ class Proxy {
     }
   }
 
+  /// `role=chaos_proxy`, then Registry::write_flat's dump of every series
+  /// (the leopard_proxy_* counters and gauges), like leopard_node's report.
   void report() {
-    std::string out;
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "role=chaos_proxy routes=%zu links_opened=%llu links_closed=%llu\n"
-                  "chunks_forwarded=%llu bytes_forwarded=%llu chunks_dropped=%llu "
-                  "bytes_dropped=%llu chunks_reordered=%llu\n"
-                  "accepts_refused=%llu partitions_started=%llu partitions_healed=%llu\n",
-                  routes_.size(), static_cast<unsigned long long>(stats_.links_opened),
-                  static_cast<unsigned long long>(stats_.links_closed),
-                  static_cast<unsigned long long>(stats_.chunks_forwarded),
-                  static_cast<unsigned long long>(stats_.bytes_forwarded),
-                  static_cast<unsigned long long>(stats_.chunks_dropped),
-                  static_cast<unsigned long long>(stats_.bytes_dropped),
-                  static_cast<unsigned long long>(stats_.chunks_reordered),
-                  static_cast<unsigned long long>(stats_.accepts_refused),
-                  static_cast<unsigned long long>(stats_.partitions_started),
-                  static_cast<unsigned long long>(stats_.partitions_healed));
-    out += buf;
+    std::string out = "role=chaos_proxy\n";
+    lp::obs::Registry::global().write_flat(out);
     std::fputs(out.c_str(), stdout);
     std::fflush(stdout);
     if (!opts_.report_path.empty()) {
@@ -522,17 +509,11 @@ class Proxy {
     }
   }
 
-  /// Binds the /metrics endpoint when --metrics-addr is set. The proxy's
-  /// fault counters become live scrape targets, so an experiment can watch
-  /// drops/reorders/partitions while the cluster runs through the proxy.
+  /// Registers the proxy's series, which report() prints, and binds the
+  /// /metrics endpoint when --metrics-addr is set. The fault counters are then
+  /// live scrape targets, so an experiment can watch drops/reorders/partitions
+  /// while the cluster runs through the proxy.
   bool setup_metrics() {
-    if (!opts_.metrics_addr) return true;
-    http_ = std::make_unique<lp::obs::HttpServer>(loop_, *opts_.metrics_addr);
-    if (!http_->listening()) {
-      std::fprintf(stderr, "chaos_proxy: cannot bind --metrics-addr %s:%u\n",
-                   opts_.metrics_addr->host.c_str(), opts_.metrics_addr->port);
-      return false;
-    }
     auto& reg = lp::obs::Registry::global();
     reg.counter_fields({
         {"leopard_proxy_links_opened_total", "Accepted client links", &stats_.links_opened},
@@ -556,6 +537,13 @@ class Proxy {
                  [this] { return static_cast<double>(routes_.size()); });
     reg.gauge_fn("leopard_proxy_live_links", "Currently open links", {},
                  [this] { return static_cast<double>(links_.size()); });
+    if (!opts_.metrics_addr) return true;
+    http_ = std::make_unique<lp::obs::HttpServer>(loop_, *opts_.metrics_addr);
+    if (!http_->listening()) {
+      std::fprintf(stderr, "chaos_proxy: cannot bind --metrics-addr %s:%u\n",
+                   opts_.metrics_addr->host.c_str(), opts_.metrics_addr->port);
+      return false;
+    }
     http_->serve_registry(reg);
     return true;
   }
