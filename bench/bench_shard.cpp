@@ -1,10 +1,10 @@
 // Sharded-consensus scaling: committed kreq/s vs shard count S ∈ {1, 2, 4}
 // at fixed n = 4, in the simulator (shard::ShardedSimCluster — the same
 // construction shard_test and the chaos sharded scenario assert against)
-// and optionally on a real loopback cluster (forked leopard_node processes,
-// like socket_cluster_test). Emits one JSON record so CI and future PRs can
-// track the trajectory, plus the ISSUE acceptance check: >= 3x sim kreq/s
-// at S = 4 over S = 1.
+// and optionally on a real loopback cluster (in process, through
+// node::LoopbackCluster, like socket_cluster_test). Emits one JSON record so
+// CI and future PRs can track the trajectory, plus the acceptance check:
+// >= 3x sim kreq/s at S = 4 over S = 1.
 //
 // Only the SIM speedups are machine-portable and gated by
 // check_bench_regression.py; the loopback numbers are wall-clock on shared
@@ -21,21 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "loopback_point.hpp"
 #include "shard/sim_cluster.hpp"
 #include "sim/time.hpp"
-
-#ifdef LEOPARD_NODE_BIN
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <thread>
-#endif
 
 namespace {
 
@@ -89,98 +77,6 @@ SimPoint run_sim_point(std::uint32_t shards, bool smoke) {
   return p;
 }
 
-#ifdef LEOPARD_NODE_BIN
-
-pid_t spawn(const std::vector<std::string>& args, const std::string& out_path) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd >= 0) {
-    ::dup2(fd, STDOUT_FILENO);
-    ::dup2(fd, STDERR_FILENO);
-    ::close(fd);
-  }
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(LEOPARD_NODE_BIN));
-  for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-  ::execv(LEOPARD_NODE_BIN, argv.data());
-  std::perror("execv leopard_node");
-  std::_Exit(127);
-}
-
-/// End-to-end acked kreq/s of a real 4-replica loopback cluster at S shards:
-/// wall time of a closed-loop client committing `requests` requests
-/// (includes dial + first-batch rampup, so short runs understate).
-/// Expect S to HURT here, not help: all five processes share one machine's
-/// cores and each replica's S instances share one event-loop thread, so
-/// sharding adds envelope/mux overhead without adding parallelism. The
-/// number records that single-host cost honestly; the scaling claim lives
-/// in the sim section, whose one-lane-per-core machines model the
-/// multi-core deployment sharding is for. Returns < 0 on any failure — the
-/// loopback section is trajectory data, not a gate.
-double run_loopback_point(std::uint32_t shards, std::uint32_t requests, int port_base) {
-  namespace fs = std::filesystem;
-  const fs::path work =
-      fs::temp_directory_path() / ("leopard_bench_shard." + std::to_string(::getpid()) +
-                                   "." + std::to_string(shards));
-  std::error_code ec;
-  fs::create_directories(work, ec);
-  if (ec) return -1;
-
-  const fs::path manifest = work / "cluster.conf";
-  {
-    std::ofstream m(manifest);
-    m << "protocol leopard\nn 4\nseed 7\npayload_size 128\n"
-      << "datablock_requests 200\nbftblock_links 8\n"
-      << "datablock_max_wait_ms 5\nproposal_max_wait_ms 2\n"
-      << "view_timeout_ms 60000\nbatch_size 100\n"
-      << "shards " << shards << "\n";
-    for (int id = 0; id < 4; ++id) {
-      m << "node " << id << " 127.0.0.1:" << (port_base + id) << "\n";
-    }
-  }
-
-  std::vector<pid_t> replicas;
-  for (int id = 0; id < 4; ++id) {
-    replicas.push_back(spawn({"--manifest", manifest.string(), "--id", std::to_string(id)},
-                             (work / ("replica" + std::to_string(id) + ".out")).string()));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-
-  const auto start = std::chrono::steady_clock::now();
-  const fs::path client_out = work / "client.out";
-  const pid_t client = spawn({"--manifest", manifest.string(), "--client", "--id", "100",
-                              "--requests", std::to_string(requests), "--window", "1024",
-                              "--timeout", "120"},
-                             client_out.string());
-  int status = 0;
-  ::waitpid(client, &status, 0);
-  const double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start).count();
-
-  for (const auto pid : replicas) ::kill(pid, SIGTERM);
-  for (const auto pid : replicas) ::waitpid(pid, nullptr, 0);
-
-  bool acked_all = false;
-  {
-    std::ifstream in(client_out);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    acked_all = ss.str().find("acked=" + std::to_string(requests)) != std::string::npos;
-  }
-  fs::remove_all(work, ec);
-
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 || !acked_all || elapsed <= 0) {
-    std::fprintf(stderr, "loopback S=%u: client failed (status %d, acked_all=%d)\n",
-                 shards, status, acked_all ? 1 : 0);
-    return -1;
-  }
-  return static_cast<double>(requests) / elapsed / 1e3;
-}
-
-#endif  // LEOPARD_NODE_BIN
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,19 +119,22 @@ int main(int argc, char** argv) {
   const double speedup_s4 = s1 > 0 ? sim_points[2].kreqs / s1 : 0;
 
   // --- loopback section (trajectory only; skipped under --sim-only) ---------
-#ifdef LEOPARD_NODE_BIN
+  // Expect S to HURT here, not help: every replica and the client share one
+  // machine's cores and each replica's S instances share one event-loop
+  // thread, so sharding adds envelope/mux overhead without adding
+  // parallelism. The number records that single-host cost honestly; the
+  // scaling claim lives in the sim section, whose one-lane-per-core machines
+  // model the multi-core deployment sharding is for.
   if (!sim_only) {
     const std::uint32_t requests = smoke ? 400 : 20000;
-    const int port_base = 21000 + static_cast<int>(::getpid() % 7000);
     std::printf(",\"loopback\":{\"requests\":%u,\"records\":[", requests);
     first = true;
     double l1 = 0, l4 = 0;
-    for (std::size_t i = 0; i < shard_counts.size(); ++i) {
-      const double kreqs =
-          run_loopback_point(shard_counts[i], requests, port_base + static_cast<int>(i) * 8);
-      if (shard_counts[i] == 1) l1 = kreqs;
-      if (shard_counts[i] == 4) l4 = kreqs;
-      std::printf("%s{\"shards\":%u,\"kreqs_per_s\":%s}", first ? "" : ",", shard_counts[i],
+    for (const auto s : shard_counts) {
+      const double kreqs = bench::loopback_kreqs(s, /*io_threads=*/1, requests);
+      if (s == 1) l1 = kreqs;
+      if (s == 4) l4 = kreqs;
+      std::printf("%s{\"shards\":%u,\"kreqs_per_s\":%s}", first ? "" : ",", s,
                   kreqs >= 0 ? fmt1(kreqs).c_str() : "null");
       first = false;
       std::fflush(stdout);
@@ -245,10 +144,6 @@ int main(int argc, char** argv) {
   } else {
     std::printf(",\"loopback\":null");
   }
-#else
-  (void)sim_only;
-  std::printf(",\"loopback\":null");
-#endif
 
   const bool pass = speedup_s4 >= 3.0;
   std::printf(",\"scaling\":{\"sim_speedup_s2\":%s,\"sim_speedup_s4\":%s}",

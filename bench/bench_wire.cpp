@@ -11,8 +11,8 @@
 //                frames/s on 64-byte payloads, MB/s on 64 KiB payloads, and
 //                p99 round-trip latency on a 1-deep ping-pong. Wall-clock on
 //                shared hardware: recorded as trajectory, never gated.
-//   io_threads — a real 4-replica S=4 loopback cluster (forked leopard_node
-//                processes) at --io-threads 1 vs 4. The speedup ratio only
+//   io_threads — a real 4-replica S=4 loopback cluster (in process, through
+//                node::LoopbackCluster) at io_threads 1 vs 4. The speedup ratio only
 //                means anything with >= 4 hardware threads; the record
 //                carries hw_threads so the regression checker can skip the
 //                gate on small runners.
@@ -33,22 +33,12 @@
 #include <thread>
 #include <vector>
 
+#include "loopback_point.hpp"
 #include "net/socket_env.hpp"
 #include "net/wire.hpp"
 #include "proto/messages.hpp"
 #include "sim/time.hpp"
 #include "util/rng.hpp"
-
-#ifdef LEOPARD_NODE_BIN
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#endif
 
 namespace {
 
@@ -262,96 +252,6 @@ void run_stream_pingpong(std::uint64_t samples, double& p50_us, double& p99_us) 
   p99_us = rtts_us.empty() ? 0 : rtts_us[rtts_us.size() * 99 / 100];
 }
 
-// ---------------------------------------------------------------------------
-// io_threads section (forked leopard_node cluster, like bench_shard)
-// ---------------------------------------------------------------------------
-
-#ifdef LEOPARD_NODE_BIN
-
-pid_t spawn(const std::vector<std::string>& args, const std::string& out_path) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd >= 0) {
-    ::dup2(fd, STDOUT_FILENO);
-    ::dup2(fd, STDERR_FILENO);
-    ::close(fd);
-  }
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(LEOPARD_NODE_BIN));
-  for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-  ::execv(LEOPARD_NODE_BIN, argv.data());
-  std::perror("execv leopard_node");
-  std::_Exit(127);
-}
-
-/// Acked kreq/s of a real 4-replica S=4 loopback cluster with each replica
-/// running `io_threads` instance workers. Single-host wall clock: the io4/io1
-/// ratio is only a scaling signal when the machine has the cores to back it.
-/// Returns < 0 on any failure.
-double run_io_point(std::uint32_t io_threads, std::uint32_t requests, int port_base) {
-  namespace fs = std::filesystem;
-  const fs::path work =
-      fs::temp_directory_path() / ("leopard_bench_wire." + std::to_string(::getpid()) + "." +
-                                   std::to_string(io_threads));
-  std::error_code ec;
-  fs::create_directories(work, ec);
-  if (ec) return -1;
-
-  const fs::path manifest = work / "cluster.conf";
-  {
-    std::ofstream m(manifest);
-    m << "protocol leopard\nn 4\nseed 7\npayload_size 128\n"
-      << "datablock_requests 200\nbftblock_links 8\n"
-      << "datablock_max_wait_ms 5\nproposal_max_wait_ms 2\n"
-      << "view_timeout_ms 60000\nbatch_size 100\n"
-      << "shards 4\n";
-    for (int id = 0; id < 4; ++id) {
-      m << "node " << id << " 127.0.0.1:" << (port_base + id) << "\n";
-    }
-  }
-
-  std::vector<pid_t> replicas;
-  for (int id = 0; id < 4; ++id) {
-    replicas.push_back(spawn({"--manifest", manifest.string(), "--id", std::to_string(id),
-                              "--io-threads", std::to_string(io_threads)},
-                             (work / ("replica" + std::to_string(id) + ".out")).string()));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-
-  const auto start = Clock::now();
-  const fs::path client_out = work / "client.out";
-  const pid_t client = spawn({"--manifest", manifest.string(), "--client", "--id", "100",
-                              "--requests", std::to_string(requests), "--window", "1024",
-                              "--timeout", "120"},
-                             client_out.string());
-  int status = 0;
-  ::waitpid(client, &status, 0);
-  const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-
-  for (const auto pid : replicas) ::kill(pid, SIGTERM);
-  for (const auto pid : replicas) ::waitpid(pid, nullptr, 0);
-
-  bool acked_all = false;
-  {
-    std::ifstream in(client_out);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    acked_all = ss.str().find("acked=" + std::to_string(requests)) != std::string::npos;
-  }
-  fs::remove_all(work, ec);
-
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 || !acked_all || elapsed <= 0) {
-    std::fprintf(stderr, "io_threads=%u: client failed (status %d, acked_all=%d)\n",
-                 io_threads, status, acked_all ? 1 : 0);
-    return -1;
-  }
-  return static_cast<double>(requests) / elapsed / 1e3;
-}
-
-#endif  // LEOPARD_NODE_BIN
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -409,15 +309,13 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   // --- io_threads ------------------------------------------------------------
-#ifdef LEOPARD_NODE_BIN
   if (loopback) {
     const std::uint32_t requests = smoke ? 400 : 20000;
-    const int port_base = 22000 + static_cast<int>(::getpid() % 7000);
     double io1 = 0, io4 = 0;
     std::printf(",\"io_threads\":{\"shards\":4,\"requests\":%u,\"records\":[", requests);
     bool first = true;
     for (const std::uint32_t io : {1u, 4u}) {
-      const double kreqs = run_io_point(io, requests, port_base + static_cast<int>(io) * 8);
+      const double kreqs = bench::loopback_kreqs(/*shards=*/4, io, requests);
       if (io == 1) io1 = kreqs;
       if (io == 4) io4 = kreqs;
       std::printf("%s{\"io_threads\":%u,\"kreqs_per_s\":%s}", first ? "" : ",", io,
@@ -430,9 +328,6 @@ int main(int argc, char** argv) {
   } else {
     std::printf(",\"io_threads\":null");
   }
-#else
-  std::printf(",\"io_threads\":null");
-#endif
 
   // --- acceptance ------------------------------------------------------------
   // The single-copy broadcast invariant is exact arithmetic, not a timing:

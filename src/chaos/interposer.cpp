@@ -30,13 +30,14 @@ const char* wire_attack_name(WireAttack attack) {
 ByzantineInterposer::ByzantineInterposer(std::unique_ptr<protocol::Protocol> core,
                                          const crypto::ThresholdScheme& scheme,
                                          InterposerOptions opts)
-    : core_(std::move(core)), scheme_(scheme), opts_(opts) {
-  auto& reg = obs::Registry::global();
+    : core_(std::move(core)), scheme_(scheme), opts_(opts) {}
+
+void ByzantineInterposer::register_observability(obs::Registry& registry) {
   const std::string attack = "attack=\"" + std::string(wire_attack_name(opts_.attack)) + "\"";
   const auto kind_counter = [&](const char* kind) {
-    return reg.counter("leopard_chaos_byz_actions_total",
-                       "Actions rewritten by the byzantine interposer",
-                       attack + ",kind=\"" + kind + "\"");
+    return registry.counter("leopard_chaos_byz_actions_total",
+                            "Actions rewritten by the byzantine interposer",
+                            attack + ",kind=\"" + kind + "\"");
   };
   equivocations_ = kind_counter("equivocation");
   suppressed_ = kind_counter("suppressed");

@@ -80,6 +80,12 @@ class ByzantineInterposer final : public protocol::Protocol {
 
   [[nodiscard]] const protocol::Protocol& inner() const { return *core_; }
 
+  /// Counts this interposer's actions in `registry` as
+  /// `leopard_chaos_byz_actions_total{attack,kind}`. Every interposer of a
+  /// node registers the same series, so a sharded node reports one total.
+  /// Until called, actions are not counted.
+  void register_observability(obs::Registry& registry);
+
  private:
   // Env shim handed to the inner core: forwards now()/costs(), routes every
   // action through the interposer's attack logic.
@@ -112,9 +118,7 @@ class ByzantineInterposer final : public protocol::Protocol {
   std::unique_ptr<protocol::Protocol> core_;
   const crypto::ThresholdScheme& scheme_;
   InterposerOptions opts_;
-  // The attack's only count: `leopard_chaos_byz_actions_total{attack,kind}`
-  // in the global registry. Every interposer of a process with the same
-  // attack shares these series, so a sharded node reports one total.
+  // The attack's only count (see register_observability).
   obs::Counter equivocations_;  // twin proposals emitted
   obs::Counter suppressed_;     // sends silently dropped
   obs::Counter corrupted_;      // chunks garbled before sending

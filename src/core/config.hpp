@@ -54,15 +54,6 @@ struct LeopardConfig {
   /// in the ready-round ablation bench.
   bool enable_ready_round = true;
 
-  /// Worker lanes for the dispersal hot path: Reed-Solomon parity encode
-  /// splits shard width and Merkle hashing splits leaf rows across this many
-  /// threads (util::WorkerPool). 1 = today's serial path, bit for bit.
-  /// Applied to the process-global pool by the replica constructor (and by
-  /// the harness per run); any value yields byte-identical protocol output —
-  /// simulated CPU charges come from the CostModel, not wall clock, so pool
-  /// size can never perturb a run.
-  std::uint32_t encode_workers = 1;
-
   /// Maximum faulty replicas tolerated.
   [[nodiscard]] std::uint32_t f() const { return (n - 1) / 3; }
   /// Votes needed for notarization/confirmation proofs (2f + 1).

@@ -6,7 +6,6 @@
 
 #include "crypto/merkle.hpp"
 #include "util/check.hpp"
-#include "util/worker_pool.hpp"
 
 namespace leopard::core {
 
@@ -35,11 +34,6 @@ LeopardReplica::LeopardReplica(LeopardConfig cfg, const crypto::ThresholdScheme&
       rs_(cfg.f() + 1, std::min<std::uint32_t>(cfg.n, 255)) {
   util::expects(cfg_.n >= 4, "Leopard requires n >= 4 (f >= 1)");
   util::expects(id_ < cfg_.n, "replica id out of range");
-  // Size the process-global compute pool from the config. A cluster's
-  // replicas share one config (and one process), so this is idempotent;
-  // with mixed values the last constructed replica wins. Any value yields
-  // byte-identical protocol output (see config.hpp).
-  util::WorkerPool::global().resize(std::max<std::uint32_t>(cfg_.encode_workers, 1));
 }
 
 bool LeopardReplica::crashed() const {

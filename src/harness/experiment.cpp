@@ -207,7 +207,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     lcfg.payload_size = cfg.payload_size;
     lcfg.mempool_capacity = std::max<std::uint32_t>(3 * cfg.datablock_requests, 4000);
     lcfg.enable_ready_round = cfg.enable_ready_round;
-    lcfg.encode_workers = cfg.encode_workers;
     if (cfg.proposal_max_wait > 0) lcfg.proposal_max_wait = cfg.proposal_max_wait;
     if (cfg.view_timeout > 0) {
       lcfg.view_timeout = cfg.view_timeout;

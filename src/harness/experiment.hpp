@@ -67,10 +67,11 @@ struct ExperimentConfig {
   /// Ablation: disable the ready round (see LeopardConfig::enable_ready_round).
   bool enable_ready_round = true;
 
-  /// Worker lanes for erasure-encode/Merkle-hash compute (see
-  /// LeopardConfig::encode_workers). Applied to the process-global
-  /// util::WorkerPool for the run; protocol output is byte-identical for any
-  /// value — only wall clock changes.
+  /// Worker lanes for erasure-encode/Merkle-hash compute (Reed-Solomon
+  /// parity encode splits shard width, Merkle hashing splits leaf rows).
+  /// Applied to the process-global util::WorkerPool for the run; protocol
+  /// output is byte-identical for any value — simulated CPU charges come
+  /// from the CostModel, so only wall clock changes.
   std::uint32_t encode_workers = 1;
 };
 

@@ -1,7 +1,7 @@
 // Cluster manifest: one small text file describing a real-wire deployment —
 // which protocol core to run, its parameters, and every replica's listen
-// address. Both the `leopard_node` daemon and the loopback integration tests
-// parse it; docs/DEPLOY.md documents the format.
+// address. The `leopard_node` daemon parses it (docs/DEPLOY.md documents the
+// format); node::LoopbackCluster and the wire tests fill one in code.
 //
 //   # comments and blank lines are ignored
 //   protocol leopard            # leopard | hotstuff | pbft

@@ -104,7 +104,7 @@ class SocketEnv final : public protocol::Env {
   void attach(protocol::Protocol& protocol) { protocol_ = &protocol; }
 
   /// Multi-instance hosting: a core multiplexed over this env's connections
-  /// (how leopard_node hosts every replica core, S >= 1). The hooks live in the instance's own Env
+  /// (how node::Replica hosts every replica core, S >= 1). The hooks live in the instance's own Env
   /// adapter (shard::MuxEnv) — the transport only routes. Instance 0 travels
   /// as bare frames (wire-compatible with unsharded peers); any other id
   /// rides a kShardFrame envelope. Instance ids must be registered before

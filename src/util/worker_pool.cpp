@@ -79,6 +79,7 @@ void WorkerPool::run(std::size_t count, std::size_t align, TaskFn fn, void* ctx)
     fn(ctx, 0, 0, count);
     return;
   }
+  const std::lock_guard<std::mutex> dispatch(dispatch_mu_);
   {
     std::lock_guard<std::mutex> lk(mu_);
     job_ = Job{fn, ctx, count, align == 0 ? 1 : align, lanes};

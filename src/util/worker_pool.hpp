@@ -17,10 +17,14 @@
 //     pointer + context (the template adapter keeps the callable on the
 //     caller's stack for the blocking duration of run()).
 //
-// The pool is deliberately NOT a general task executor: run() is blocking,
-// non-reentrant, and single-dispatcher (one thread issues jobs at a time).
-// The simulator stays single-threaded and deterministic — the pool only
-// accelerates pure compute kernels whose outputs are order-independent.
+// The pool is deliberately NOT a general task executor: run() is blocking
+// and non-reentrant. Any number of threads may dispatch (the in-process
+// nodes of a loopback cluster, the shard cores of a node): a multi-lane job
+// holds the dispatch mutex for its whole run, so concurrent dispatchers
+// queue and each job still sees every lane. The one-lane path runs inline
+// and takes no lock. The simulator stays single-threaded and deterministic
+// — the pool only accelerates pure compute kernels whose outputs are
+// order-independent.
 #pragma once
 
 #include <condition_variable>
@@ -67,7 +71,8 @@ class WorkerPool {
 
   /// Runs `fn` over [0, count) split into lanes() chunks; blocks until every
   /// lane finished. The caller thread executes lane 0. Empty chunks are not
-  /// invoked. No allocation on this path.
+  /// invoked. No allocation on this path. Thread-safe: a multi-lane job
+  /// waits for any other thread's job to finish first.
   void run(std::size_t count, std::size_t align, TaskFn fn, void* ctx);
 
   /// Adapter for callables: f(lane, begin, end). The callable stays on the
@@ -100,6 +105,7 @@ class WorkerPool {
   void worker_loop(std::size_t lane);
   void stop_workers();
 
+  std::mutex dispatch_mu_;  // held by a multi-lane run() for its whole job
   std::mutex mu_;
   std::condition_variable work_cv_;  // workers: a new epoch or stop
   std::condition_variable done_cv_;  // dispatcher: all lanes finished

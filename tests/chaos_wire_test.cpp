@@ -1,14 +1,13 @@
-// Adversarial scenario engine, wire side: forks real leopard_node clusters on
-// 127.0.0.1 with one replica running a --byzantine interposer mode, and real
-// chaos_proxy processes interposed on selected links with deterministic
-// partition/heal schedules. Safety acceptance is the deployment analogue of
-// the sim oracles: identical exec_digest folds across (honest) replicas plus
-// client liveness; the per-peer shed/reconnect counters in the SIGTERM report
-// prove the attacked links actually degraded.
+// Adversarial scenario engine, wire side: real loopback clusters on 127.0.0.1
+// (node::LoopbackCluster, in process) with one replica running a byzantine
+// interposer mode, and real chaos_proxy processes interposed on selected
+// links with deterministic partition/heal schedules. Safety acceptance is the
+// deployment analogue of the sim oracles: identical exec_digest folds across
+// (honest) replicas plus client liveness; the per-peer shed/reconnect
+// counters in each replica's report prove the attacked links actually
+// degraded.
 #include <gtest/gtest.h>
 
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -25,27 +24,9 @@
 namespace {
 
 using namespace leopard::wiretest;
+using leopard::node::LoopbackCluster;
+using leopard::sim::NodeId;
 using Clock = std::chrono::steady_clock;
-
-/// Kills the proxy on scope exit so a failed ASSERT cannot leak it.
-struct ProxyHandle {
-  pid_t pid = -1;
-  std::string out;
-
-  ~ProxyHandle() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-    }
-  }
-
-  Report stop() {
-    ::kill(pid, SIGTERM);
-    EXPECT_EQ(wait_exit(pid), 0) << "chaos_proxy did not exit cleanly";
-    pid = -1;
-    return parse_report(out);
-  }
-};
 
 void sleep_until_ms(Clock::time_point t0, std::uint64_t ms) {
   std::this_thread::sleep_until(t0 + std::chrono::milliseconds(ms));
@@ -59,28 +40,19 @@ TEST(ChaosWire, EquivocatingLeaderIsContained) {
   // The view-1 leader (replica 1) splits every proposal into two conflicting
   // twins. Neither twin can reach quorum, so the honest replicas must
   // view-change away and keep committing — with no fork between them.
-  const auto dir = temp_dir();
-  const auto ports = pick_free_ports(4);
-  ManifestOpts mopts;
-  mopts.view_timeout_ms = 1500;  // recover from the poisoned view quickly
-  const auto manifest = write_manifest(dir, ports, mopts);
-
-  ReplicaSet cluster;
-  for (std::size_t id = 0; id < 4; ++id) {
-    std::vector<std::string> extra;
-    if (id == 1) extra = {"--byzantine", "equivocate"};
-    cluster.start(id, manifest, dir, "", std::move(extra));
+  auto manifest = test_manifest();
+  manifest.view_timeout = 1500 * leopard::sim::kMillisecond;  // leave the poisoned view quickly
+  LoopbackCluster cluster(manifest);
+  for (NodeId id = 0; id < 4; ++id) {
+    cluster.start({.id = id, .byzantine = id == 1 ? "equivocate" : ""});
   }
 
-  ASSERT_EQ(run_client(manifest, dir + "/client.out", 100, 300, 500), 0)
+  ASSERT_EQ(run_client(cluster, 100, 300, 500).at("acked"), "300")
       << "cluster lost liveness under an equivocating leader";
-  EXPECT_EQ(parse_report(dir + "/client.out").at("acked"), "300");
   ::usleep(500 * 1000);
 
-  const auto reports = cluster.stop_all(4);
-  const std::vector<std::size_t> honest = {0, 2, 3};
-  for (const auto id : honest) {
-    ASSERT_TRUE(reports[id].contains("exec_digest")) << "replica " << id;
+  const auto reports = stop_all(cluster);
+  for (const std::size_t id : {0u, 2u, 3u}) {
     EXPECT_EQ(reports[id].at("exec_digest"), reports[0].at("exec_digest"))
         << "honest replicas forked under equivocation (replica " << id << ")";
     EXPECT_EQ(reports[id].at("state_digest"), reports[0].at("state_digest")) << id;
@@ -99,24 +71,17 @@ TEST(ChaosWire, SelectiveSilenceTowardVictimStaysSafeAndLive) {
   // here). The victim must still execute the full stream — datablock
   // retrieval and the remaining 2f honest links carry it — and no honest
   // pair may diverge.
-  const auto dir = temp_dir();
-  const auto ports = pick_free_ports(4);
-  const auto manifest = write_manifest(dir, ports);
-
-  ReplicaSet cluster;
-  for (std::size_t id = 0; id < 4; ++id) {
-    std::vector<std::string> extra;
-    if (id == 3) extra = {"--byzantine", "silence"};
-    cluster.start(id, manifest, dir, "", std::move(extra));
+  LoopbackCluster cluster(test_manifest());
+  for (NodeId id = 0; id < 4; ++id) {
+    cluster.start({.id = id, .byzantine = id == 3 ? "silence" : ""});
   }
 
-  ASSERT_EQ(run_client(manifest, dir + "/client.out", 100, 300, 500), 0)
+  ASSERT_EQ(run_client(cluster, 100, 300, 500).at("acked"), "300")
       << "cluster lost liveness under selective silence";
   ::usleep(500 * 1000);
 
-  const auto reports = cluster.stop_all(4);
+  const auto reports = stop_all(cluster);
   for (const std::size_t id : {0u, 1u, 2u}) {
-    ASSERT_TRUE(reports[id].contains("exec_digest")) << "replica " << id;
     EXPECT_EQ(reports[id].at("exec_digest"), reports[0].at("exec_digest")) << id;
     EXPECT_EQ(reports[id].at("state_digest"), reports[0].at("state_digest")) << id;
   }
@@ -130,31 +95,26 @@ TEST(ChaosWire, SelectiveSilenceTowardVictimStaysSafeAndLive) {
 
 TEST(ChaosWire, GarbageSharesCannotPoisonStateTransfer) {
   // Replica 3 corrupts every chunk it serves (retrieval and state-transfer
-  // shares). A crashed-and-restarted replica 0 must still catch up: the
+  // shares). A stopped-and-restarted replica 0 must still catch up: the
   // subset-robust pull decode discards the garbled shard and completes from
   // the honest servers.
   const auto dir = temp_dir();
-  const auto ports = pick_free_ports(4);
-  const auto manifest = write_manifest(dir, ports);
-  const auto data_dir = [&](std::size_t id) { return dir + "/data" + std::to_string(id); };
-
-  ReplicaSet cluster;
-  for (std::size_t id = 0; id < 4; ++id) {
-    std::vector<std::string> extra;
-    if (id == 3) extra = {"--byzantine", "garbage-shares"};
-    cluster.start(id, manifest, dir, data_dir(id), std::move(extra));
+  const auto data_dir = [&](NodeId id) { return dir + "/data" + std::to_string(id); };
+  LoopbackCluster cluster(test_manifest());
+  for (NodeId id = 0; id < 4; ++id) {
+    cluster.start({.id = id, .byzantine = id == 3 ? "garbage-shares" : "",
+                   .data_dir = data_dir(id)});
   }
 
-  ASSERT_EQ(run_client(manifest, dir + "/client1.out", 100, 150), 0);
-  cluster.kill_hard(0);
-  ASSERT_EQ(run_client(manifest, dir + "/client2.out", 101, 150, 500), 0);
-  cluster.start(0, manifest, dir, data_dir(0));
-  ASSERT_EQ(run_client(manifest, dir + "/client3.out", 102, 100, 500), 0);
+  ASSERT_EQ(run_client(cluster, 100, 150).at("acked"), "150");
+  cluster.stop(0);
+  ASSERT_EQ(run_client(cluster, 101, 150, 500).at("acked"), "150");
+  cluster.start({.id = 0, .data_dir = data_dir(0)});
+  ASSERT_EQ(run_client(cluster, 102, 100, 500).at("acked"), "100");
   ::usleep(3000 * 1000);  // final catch-up rounds after the load quiesces
 
-  const auto reports = cluster.stop_all(4);
+  const auto reports = stop_all(cluster);
   for (std::size_t id = 1; id < 4; ++id) {
-    ASSERT_TRUE(reports[id].contains("exec_digest")) << "replica " << id;
     EXPECT_EQ(reports[id].at("exec_digest"), reports[0].at("exec_digest"))
         << "replica " << id << " diverged";
   }
@@ -178,28 +138,18 @@ TEST(ChaosWire, LaggardLeaderDegradesMeasuredCommitLatencyWithoutViewChange) {
   // and demand the attacked percentiles degrade by a bounded factor. The
   // client's p50/p99 come from the same HDR histogram /metrics exposes.
   constexpr std::uint64_t kLagMs = 150;
-  const auto dir = temp_dir();
-
-  const auto run_cluster = [&](const std::string& tag,
-                               bool laggard) -> Report {
-    const auto ports = pick_free_ports(4);
-    const auto manifest = write_manifest(dir, ports, {}, "cluster_" + tag + ".conf");
-    ReplicaSet cluster;
-    for (std::size_t id = 0; id < 4; ++id) {
-      std::vector<std::string> extra;
-      if (laggard && id == 1) {
-        extra = {"--byzantine", "laggard", "--byzantine-lag-ms", std::to_string(kLagMs)};
-      }
-      cluster.start(id, manifest, dir, "", std::move(extra));
+  const auto run_cluster = [&](const std::string& tag, bool laggard) -> Report {
+    LoopbackCluster cluster(test_manifest());
+    for (NodeId id = 0; id < 4; ++id) {
+      cluster.start({.id = id, .byzantine = laggard && id == 1 ? "laggard" : "",
+                     .byzantine_lag_ms = kLagMs});
     }
-    const auto client_out = dir + "/client_" + tag + ".out";
-    EXPECT_EQ(run_client(manifest, client_out, 100, 300, 1000), 0)
-        << "cluster lost liveness (" << tag << ")";
+    auto client = run_client(cluster, 100, 300, 1000);
+    EXPECT_EQ(client.at("acked"), "300") << "cluster lost liveness (" << tag << ")";
     if (laggard) ::usleep(800 * 1000);  // let the last held frames flush
 
-    const auto reports = cluster.stop_all(4);
+    const auto reports = stop_all(cluster);
     for (std::size_t id = 1; id < 4; ++id) {
-      EXPECT_TRUE(reports[id].contains("exec_digest")) << tag << " replica " << id;
       EXPECT_EQ(reports[id].at("exec_digest"), reports[0].at("exec_digest"))
           << tag << " replica " << id;
     }
@@ -214,7 +164,7 @@ TEST(ChaosWire, LaggardLeaderDegradesMeasuredCommitLatencyWithoutViewChange) {
                 0u)
           << "the laggard never actually delayed a frame";
     }
-    return parse_report(client_out);
+    return client;
   };
 
   const auto baseline = run_cluster("baseline", false);
@@ -245,11 +195,11 @@ TEST(ChaosWire, LaggardLeaderDegradesMeasuredCommitLatencyWithoutViewChange) {
 
 TEST(ChaosWire, ProxyRejectsMalformedMetricsAddr) {
   const auto dir = temp_dir();
-  const auto port = std::to_string(pick_free_ports(1)[0]);
+  const auto port = std::to_string(leopard::node::pick_free_ports(1)[0]);
   for (const char* addr : {":99999", ":abc", "127.0.0.1:80x"}) {
-    EXPECT_EQ(wait_exit(spawn_process(CHAOS_PROXY_BIN, dir + "/proxy.out",
-                                      {"--route", port + ":127.0.0.1:1", "--run-for", "0",
-                                       "--metrics-addr", addr})),
+    EXPECT_EQ(Process(CHAOS_PROXY_BIN, dir + "/proxy.out",
+                      {"--route", port + ":127.0.0.1:1", "--run-for", "0", "--metrics-addr", addr})
+                  .wait(),
               2)
         << addr;
   }
@@ -275,79 +225,74 @@ void run_partition_scenario(const std::vector<PartitionWindow>& windows,
                             std::uint64_t resume_ms, std::uint64_t during_requests,
                             bool expect_gap_pull) {
   const auto dir = temp_dir();
-  const auto ports = pick_free_ports(7);  // 4 node ports + 3 proxy listen ports
-  const std::vector<std::uint16_t> node_ports(ports.begin(), ports.begin() + 4);
 
   // A low parallel-instance cap makes checkpoints land every 4 sequence
   // numbers, so the post-heal phase reliably crosses a checkpoint boundary
   // and replica 3 exercises adopt-checkpoint + gap pull.
-  ManifestOpts base;
+  auto base = test_manifest();
   base.max_parallel_instances = 8;
-  const auto manifest = write_manifest(dir, node_ports, base);
+  LoopbackCluster cluster(base);
+  const auto& nodes = cluster.manifest().nodes;
+  const auto proxy_ports = leopard::node::pick_free_ports(3);
 
   // Replica 2 runs a deliberately small per-peer buffer so its frames toward
   // the unreachable replica 3 visibly shed (the others keep the default and
   // carry the state-transfer shards).
-  ManifestOpts small = base;
-  small.extra = {"peer_buffer_bytes 6144"};
-  const auto manifest_small = write_manifest(dir, node_ports, small, "cluster_small.conf");
+  auto manifest_small = cluster.manifest();
+  manifest_small.peer_buffer_bytes = 6144;
 
   // Replica 3 dials every peer through the proxy.
-  ManifestOpts proxied = base;
-  for (std::size_t peer = 0; peer < 3; ++peer) {
-    proxied.extra.push_back("proxy " + std::to_string(peer) + " 127.0.0.1:" +
-                            std::to_string(ports[4 + peer]));
+  auto manifest_proxy = cluster.manifest();
+  for (NodeId peer = 0; peer < 3; ++peer) {
+    manifest_proxy.proxies[peer] = {"127.0.0.1", proxy_ports[peer]};
   }
-  const auto manifest_proxy = write_manifest(dir, node_ports, proxied, "cluster_proxy.conf");
 
   // Proxy: one route per link, every route partitioned on the same schedule.
   std::vector<std::string> proxy_args;
-  for (std::size_t peer = 0; peer < 3; ++peer) {
+  for (NodeId peer = 0; peer < 3; ++peer) {
     proxy_args.push_back("--route");
-    proxy_args.push_back(std::to_string(ports[4 + peer]) + ":127.0.0.1:" +
-                         std::to_string(node_ports[peer]));
+    proxy_args.push_back(std::to_string(proxy_ports[peer]) + ":127.0.0.1:" +
+                         std::to_string(nodes.at(peer).port));
   }
   for (const auto& w : windows) {
     for (std::size_t peer = 0; peer < 3; ++peer) {
       proxy_args.push_back("--partition");
-      proxy_args.push_back(std::to_string(ports[4 + peer]) + "@" +
+      proxy_args.push_back(std::to_string(proxy_ports[peer]) + "@" +
                            std::to_string(w.start_ms) + "+" + std::to_string(w.duration_ms));
     }
   }
-  ProxyHandle proxy;
-  proxy.out = dir + "/proxy.out";
   const auto t0 = Clock::now();  // partition schedule is relative to proxy start
-  proxy.pid = spawn_process(CHAOS_PROXY_BIN, proxy.out, proxy_args);
+  Process proxy(CHAOS_PROXY_BIN, dir + "/proxy.out", proxy_args);
 
-  const auto data_dir = [&](std::size_t id) { return dir + "/data" + std::to_string(id); };
-  ReplicaSet cluster;
-  cluster.start(0, manifest, dir, data_dir(0));
-  cluster.start(1, manifest, dir, data_dir(1));
-  cluster.start(2, manifest_small, dir, data_dir(2));
-  cluster.start(3, manifest_proxy, dir, data_dir(3));
+  const auto data_dir = [&](NodeId id) { return dir + "/data" + std::to_string(id); };
+  cluster.start({.id = 0, .data_dir = data_dir(0)});
+  cluster.start({.id = 1, .data_dir = data_dir(1)});
+  cluster.start({.id = 2, .data_dir = data_dir(2)}, manifest_small);
+  cluster.start({.id = 3, .data_dir = data_dir(3)}, manifest_proxy);
 
   // Phase 1: healthy traffic before the first window.
-  ASSERT_EQ(run_client(manifest, dir + "/client1.out", 100, 150, 500), 0)
+  ASSERT_EQ(run_client(cluster, 100, 150, 500).at("acked"), "150")
       << "no progress before the partition";
 
   // Phase 2: heavy traffic while replica 3 is cut off. The client still dials
   // replica 3 directly; its requests there stall and rotate to live replicas.
   sleep_until_ms(t0, windows.front().start_ms + 500);
-  ASSERT_EQ(run_client(manifest, dir + "/client2.out", 101, during_requests, 500), 0)
+  ASSERT_EQ(run_client(cluster, 101, during_requests, 500).at("acked"),
+            std::to_string(during_requests))
       << "quorum of connected replicas lost progress during the partition";
 
   // Phase 3: post-heal traffic that crosses a checkpoint boundary, forcing
   // the partitioned replica through adopt-checkpoint and the gap pull.
   sleep_until_ms(t0, resume_ms);
-  ASSERT_EQ(run_client(manifest, dir + "/client3.out", 102, 200, 500), 0)
+  ASSERT_EQ(run_client(cluster, 102, 200, 500).at("acked"), "200")
       << "no progress after the partition healed";
   ::usleep(3000 * 1000);  // catch-up rounds for replica 3
 
-  const auto reports = cluster.stop_all(4);
-  const auto proxy_report = proxy.stop();
+  const auto reports = stop_all(cluster);
+  EXPECT_EQ(proxy.stop(), 0) << "chaos_proxy did not exit cleanly";
+  const auto proxy_report = parse_report(read_file(proxy.out));
 
   for (std::size_t id = 1; id < 4; ++id) {
-    ASSERT_TRUE(reports[id].contains("exec_digest")) << "replica " << id;
     EXPECT_EQ(reports[id].at("exec_digest"), reports[0].at("exec_digest"))
         << "replica " << id << " diverged after partition heal";
   }

@@ -1,58 +1,34 @@
 // Shared fixture of the loopback wire tests (socket_cluster_test,
-// chaos_wire_test): free ports, manifests, forked leopard_node replicas and
-// clients, and the key=value reports they print on exit.
+// chaos_wire_test): the test cluster manifest, in-process clusters
+// (node::LoopbackCluster) and their key=value reports, and forked processes
+// for the tests that check a binary itself (leopard_node, chaos_proxy).
 //
 // A report is the node's fields followed by its obs::Registry series under
-// obs::flat_key names, e.g. `leopard_net_peer_shed_frames_total{peer:3}`.
+// obs::flat_key names, e.g. `leopard_net_peer_shed_frames_total{peer:3}` —
+// what leopard_node prints on SIGTERM.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#ifndef LEOPARD_NODE_BIN
-#error "CMake must define LEOPARD_NODE_BIN (path to the leopard_node binary)"
-#endif
+#include "net/manifest.hpp"
+#include "node/node.hpp"
 
 namespace leopard::wiretest {
 
 using Report = std::map<std::string, std::string>;
-
-/// Picks `count` distinct free ports, holding every probe socket open until
-/// all are chosen so the kernel cannot hand the same ephemeral port twice.
-/// (The window between closing and the daemon rebinding is still racy in
-/// principle, but just-released ephemeral ports are not reused eagerly.)
-inline std::vector<std::uint16_t> pick_free_ports(std::size_t count) {
-  std::vector<int> fds;
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < count; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    ports.push_back(ntohs(addr.sin_port));
-    fds.push_back(fd);
-  }
-  for (const int fd : fds) ::close(fd);
-  return ports;
-}
 
 inline std::string temp_dir() {
   char tmpl[] = "/tmp/leopard_wire_XXXXXX";
@@ -61,71 +37,50 @@ inline std::string temp_dir() {
   return dir;
 }
 
-struct ManifestOpts {
-  std::string protocol = "leopard";
-  std::uint32_t shards = 1;
-  std::uint32_t view_timeout_ms = 60000;  // generous: no spurious view changes under ASan
-  std::uint32_t max_parallel_instances = 40;
-  std::vector<std::string> extra = {};  // proxy overrides, peer_buffer_bytes, ...
-};
+/// The small, fast cluster every wire test runs: n = 4, 50-request
+/// datablocks, and a view timeout generous enough that ASan never causes a
+/// spurious view change.
+inline net::Manifest test_manifest(const std::string& protocol = "leopard") {
+  net::Manifest m;
+  m.protocol = protocol;
+  m.n = 4;
+  m.seed = 7;
+  m.payload_size = 64;
+  m.datablock_requests = 50;
+  m.bftblock_links = 4;
+  m.max_parallel_instances = 40;
+  m.datablock_max_wait = 20 * sim::kMillisecond;
+  m.proposal_max_wait = 10 * sim::kMillisecond;
+  m.retrieval_timeout = 20 * sim::kMillisecond;
+  m.view_timeout = 60 * sim::kSecond;
+  m.batch_size = 50;
+  return m;
+}
 
-/// Writes `dir/name`. Per-node manifests differ only in the extra lines
-/// (proxy dial overrides, buffer caps), so each variant gets its own name.
-inline std::string write_manifest(const std::string& dir, const std::vector<std::uint16_t>& ports,
-                                  const ManifestOpts& opts = {},
-                                  const std::string& name = "cluster.conf") {
-  const auto path = dir + "/" + name;
+/// Writes `m` as a manifest file `dir/cluster.conf` on loopback `ports`,
+/// for the tests that start leopard_node itself.
+inline std::string write_manifest(const std::string& dir, const net::Manifest& m,
+                                  const std::vector<std::uint16_t>& ports) {
+  const auto ms = [](sim::SimTime t) { return std::to_string(t / sim::kMillisecond); };
+  const auto path = dir + "/cluster.conf";
   std::ofstream out(path);
-  out << "protocol " << opts.protocol << "\n"
-      << "n " << ports.size() << "\n"
-      << "seed 7\n"
-      << "payload_size 64\n"
-      << "datablock_requests 50\n"
-      << "bftblock_links 4\n"
-      << "max_parallel_instances " << opts.max_parallel_instances << "\n"
-      << "datablock_max_wait_ms 20\n"
-      << "proposal_max_wait_ms 10\n"
-      << "retrieval_timeout_ms 20\n"
-      << "view_timeout_ms " << opts.view_timeout_ms << "\n"
-      << "batch_size 50\n"
-      << "shards " << opts.shards << "\n";
+  out << "protocol " << m.protocol << "\nn " << m.n << "\nseed " << m.seed
+      << "\npayload_size " << m.payload_size << "\ndatablock_requests " << m.datablock_requests
+      << "\nbftblock_links " << m.bftblock_links << "\nmax_parallel_instances "
+      << m.max_parallel_instances << "\ndatablock_max_wait_ms " << ms(m.datablock_max_wait)
+      << "\nproposal_max_wait_ms " << ms(m.proposal_max_wait) << "\nretrieval_timeout_ms "
+      << ms(m.retrieval_timeout) << "\nview_timeout_ms " << ms(m.view_timeout)
+      << "\nbatch_size " << m.batch_size << "\nshards " << m.shards << "\n";
   for (std::size_t id = 0; id < ports.size(); ++id) {
     out << "node " << id << " 127.0.0.1:" << ports[id] << "\n";
   }
-  for (const auto& line : opts.extra) out << line << "\n";
   return path;
-}
-
-/// Forks `bin args...` with stdout and stderr redirected to `out_path`.
-inline pid_t spawn_process(const char* bin, const std::string& out_path,
-                           std::vector<std::string> args) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  ::dup2(fd, 1);
-  ::dup2(fd, 2);
-  ::close(fd);
-  std::vector<std::string> full = {bin};
-  for (auto& a : args) full.push_back(std::move(a));
-  std::vector<char*> argv;
-  argv.reserve(full.size() + 1);
-  for (auto& a : full) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(bin, argv.data());
-  std::perror("execv");
-  ::_exit(127);
-}
-
-inline int wait_exit(pid_t pid) {
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
 }
 
 /// Parses a key=value report (whitespace-separated tokens across lines, each
 /// split at its first '=').
-inline Report parse_report(const std::string& path) {
-  std::ifstream in(path);
+inline Report parse_report(const std::string& text) {
+  std::istringstream in(text);
   Report kv;
   std::string token;
   while (in >> token) {
@@ -133,6 +88,13 @@ inline Report parse_report(const std::string& path) {
     if (eq != std::string::npos) kv[token.substr(0, eq)] = token.substr(eq + 1);
   }
   return kv;
+}
+
+inline std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 /// A per-peer registry counter from a report, e.g.
@@ -143,78 +105,72 @@ inline std::uint64_t peer_series(const Report& report, const std::string& family
   return std::stoull(report.at(family + "{peer:" + std::to_string(peer) + "}"));
 }
 
-/// Forked replicas, killed on scope exit so a failed ASSERT cannot leak a
-/// daemon into later tests.
-struct ReplicaSet {
-  std::vector<pid_t> pids;  // index = replica id; -1 when not running
-  std::vector<std::string> outs;
-
-  ~ReplicaSet() {
-    for (const auto pid : pids) {
-      if (pid > 0) ::kill(pid, SIGKILL);
-    }
-    for (const auto pid : pids) {
-      if (pid > 0) ::waitpid(pid, nullptr, 0);
-    }
-  }
-
-  /// `data_dir` non-empty enables the durable store (and boot recovery when
-  /// the directory already holds a WAL from a previous incarnation).
-  /// `extra_args` go to the daemon verbatim (e.g. {"--io-threads", "2"}).
-  void start(std::size_t id, const std::string& manifest, const std::string& dir,
-             const std::string& data_dir = "", std::vector<std::string> extra_args = {}) {
-    outs.resize(std::max(outs.size(), id + 1));
-    pids.resize(std::max(pids.size(), id + 1), -1);
-    outs[id] = dir + "/replica" + std::to_string(id) + "_" + std::to_string(::getpid()) + "_" +
-               std::to_string(next_out_++) + ".out";
-    std::vector<std::string> args = {"--manifest", manifest, "--id", std::to_string(id)};
-    if (!data_dir.empty()) {
-      args.push_back("--data-dir");
-      args.push_back(data_dir);
-    }
-    for (auto& a : extra_args) args.push_back(std::move(a));
-    pids[id] = spawn_process(LEOPARD_NODE_BIN, outs[id], std::move(args));
-  }
-
-  /// SIGTERM + reap: the daemon prints its report on the way out.
-  int stop(std::size_t id) {
-    ::kill(pids[id], SIGTERM);
-    const int rc = wait_exit(pids[id]);
-    pids[id] = -1;
-    return rc;
-  }
-
-  /// Stops replicas 0..n-1 in order, expecting each to exit cleanly, and
-  /// returns their reports.
-  std::vector<Report> stop_all(std::size_t n) {
-    std::vector<Report> reports;
-    for (std::size_t id = 0; id < n; ++id) {
-      EXPECT_EQ(stop(id), 0) << "replica " << id << " did not exit cleanly";
-      reports.push_back(parse_report(outs[id]));
-    }
-    return reports;
-  }
-
-  void kill_hard(std::size_t id) {
-    ::kill(pids[id], SIGKILL);
-    ::waitpid(pids[id], nullptr, 0);
-    pids[id] = -1;
-  }
-
- private:
-  int next_out_ = 0;
-};
-
-/// Runs the closed-loop client to completion; returns its exit code.
-inline int run_client(const std::string& manifest, const std::string& out_path,
-                      std::uint32_t id, std::uint32_t requests,
-                      std::uint32_t resubmit_ms = 1000) {
-  const pid_t pid = spawn_process(
-      LEOPARD_NODE_BIN, out_path,
-      {"--manifest", manifest, "--client", "--id", std::to_string(id), "--requests",
-       std::to_string(requests), "--window", "32", "--timeout", "90", "--resubmit-ms",
-       std::to_string(resubmit_ms)});
-  return wait_exit(pid);
+/// Stops replica `id` and returns its report.
+inline Report stop_report(node::LoopbackCluster& cluster, sim::NodeId id) {
+  return parse_report(node::render_fields(cluster.stop(id)) + cluster.final_series(id));
 }
+
+/// Stops replicas 0..n-1 in order and returns their reports.
+inline std::vector<Report> stop_all(node::LoopbackCluster& cluster) {
+  std::vector<Report> reports;
+  for (sim::NodeId id = 0; id < cluster.manifest().n; ++id) {
+    reports.push_back(stop_report(cluster, id));
+  }
+  return reports;
+}
+
+/// Runs a closed-loop client (window 32) to completion and returns its
+/// report; every request acked shows as acked == requests.
+inline Report run_client(node::LoopbackCluster& cluster, sim::NodeId id,
+                         std::uint64_t requests, std::uint32_t resubmit_ms = 1000) {
+  return parse_report(node::render_fields(cluster.run_client(
+      {.id = id, .requests = requests, .window = 32, .resubmit_ms = resubmit_ms,
+       .timeout = 90})));
+}
+
+/// A forked `bin args...` with stdout and stderr redirected to `out`,
+/// SIGKILLed on scope exit so a failed ASSERT cannot leak it into later tests.
+struct Process {
+  pid_t pid = -1;
+  std::string out;
+
+  Process(const char* bin, std::string out_path, std::vector<std::string> args)
+      : pid(::fork()), out(std::move(out_path)) {
+    if (pid != 0) return;
+    const int fd = ::open(out.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ::dup2(fd, 1);
+    ::dup2(fd, 2);
+    ::close(fd);
+    args.insert(args.begin(), bin);
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    ::execv(bin, argv.data());
+    std::perror("execv");
+    ::_exit(127);
+  }
+  Process(const Process&) = delete;
+  Process& operator=(const Process&) = delete;
+  ~Process() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      wait();
+    }
+  }
+
+  /// Reaps the process: its exit code, or minus the signal that ended it.
+  int wait() {
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    pid = -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
+  }
+
+  /// SIGTERM + wait.
+  int stop() {
+    ::kill(pid, SIGTERM);
+    return wait();
+  }
+};
 
 }  // namespace leopard::wiretest

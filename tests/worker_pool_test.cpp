@@ -2,12 +2,14 @@
 // ranges exactly, pool sizes {1,2,4,8} must produce byte-identical erasure
 // encodes and Merkle roots against the serial path under every GF(256)
 // kernel, n-lane hashing must be pool-size-invariant, and the dispatch
-// machinery must survive a TSan-checked stress mix.
+// machinery must survive a TSan-checked stress mix, two dispatching threads
+// included.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "crypto/merkle.hpp"
@@ -264,4 +266,34 @@ TEST(WorkerPoolStress, RepeatedDispatchAndResizeUnderLoad) {
   });
   EXPECT_EQ(std::accumulate(partial, partial + lu::WorkerPool::kMaxLanes, std::uint64_t{0}),
             expected);
+}
+
+// Two threads dispatch into one multi-lane pool at once, as the nodes of an
+// in-process cluster do: each job must still run every element exactly once
+// and neither dispatcher may hang waiting on the other's lanes.
+TEST(WorkerPoolStress, ConcurrentDispatchersEachSeeWholeJobs) {
+  PoolGuard guard;
+  auto& pool = lu::WorkerPool::global();
+  pool.resize(4);
+  constexpr int kJobs = 200;
+  const auto dispatcher = [&pool](std::uint8_t tag, bool& ok) {
+    std::vector<std::uint8_t> out(4099);
+    for (int job = 0; job < kJobs && ok; ++job) {
+      const auto mark = static_cast<std::uint8_t>(tag + job);
+      pool.for_ranges(out.size(), 1, [&](std::size_t, std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) out[i] = static_cast<std::uint8_t>(mark ^ i);
+      });
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        if (out[i] != static_cast<std::uint8_t>(mark ^ i)) ok = false;
+      }
+    }
+  };
+  bool ok_a = true;
+  bool ok_b = true;
+  std::thread a(dispatcher, std::uint8_t{0x11}, std::ref(ok_a));
+  std::thread b(dispatcher, std::uint8_t{0x7c}, std::ref(ok_b));
+  a.join();
+  b.join();
+  EXPECT_TRUE(ok_a);
+  EXPECT_TRUE(ok_b);
 }
