@@ -1,6 +1,7 @@
 // Sharded-consensus scaling: committed kreq/s vs shard count S ∈ {1, 2, 4}
-// at fixed n = 4, in the simulator (shard::ShardedSimCluster — the same
-// construction shard_test and the chaos sharded scenario assert against)
+// at fixed n = 4, in the simulator (harness::SimCluster running the
+// experiment cluster — the same construction shard_test and the chaos
+// sharded scenario assert against)
 // and optionally on a real loopback cluster (in process, through
 // node::LoopbackCluster, like socket_cluster_test). Emits one JSON record so
 // CI and future PRs can track the trajectory, plus the acceptance check:
@@ -22,7 +23,7 @@
 #include <vector>
 
 #include "loopback_point.hpp"
-#include "shard/sim_cluster.hpp"
+#include "harness/experiment.hpp"
 #include "sim/time.hpp"
 
 namespace {
@@ -53,15 +54,20 @@ struct SimPoint {
 /// actually absorbs it (each machine hosts one shard's leader plus S-1
 /// follower cores on its single modeled CPU/NIC).
 SimPoint run_sim_point(std::uint32_t shards, bool smoke) {
-  shard::ShardedClusterConfig cfg;
-  cfg.n = 4;
-  cfg.shards = shards;
-  cfg.seed = 5;
+  harness::ExperimentConfig est;
+  est.n = 4;
+  est.seed = 5;
   if (smoke) {
-    cfg.datablock_requests = 300;
-    cfg.bftblock_links = 20;
+    est.datablock_requests = 300;
+    est.bftblock_links = 20;
   }
-  shard::ShardedSimCluster cluster(cfg);
+  // Single-shard capacity from the harness model. Each machine runs one CPU
+  // lane per hosted core, so shards multiply CPU capacity; only the shared
+  // NIC carries S× the wire load, and at these payloads it has the headroom.
+  est.offered_load = 0.9 * harness::estimate_capacity(est) * shards;
+  auto cfg = harness::experiment_cluster(est);
+  cfg.shards = shards;
+  harness::SimCluster cluster(std::move(cfg));
 
   const sim::SimTime warmup = smoke ? sim::kSecond : 2 * sim::kSecond;
   const sim::SimTime measure = smoke ? 2 * sim::kSecond : 4 * sim::kSecond;
@@ -72,7 +78,7 @@ SimPoint run_sim_point(std::uint32_t shards, bool smoke) {
 
   SimPoint p;
   p.shards = shards;
-  p.offered_kreqs = cluster.offered_load() / 1e3;
+  p.offered_kreqs = est.offered_load / 1e3;
   p.kreqs = static_cast<double>(after - before) / sim::to_seconds(measure) / 1e3;
   return p;
 }

@@ -13,26 +13,14 @@
 // Watch the printed timeline: liveness dips, the protocol heals, and safety
 // (identical logs) holds throughout.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
-#include "core/client.hpp"
-#include "core/replica.hpp"
-#include "crypto/threshold_sig.hpp"
-#include "protocol/factory.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
+#include "harness/sim_cluster.hpp"
 
 using namespace leopard;
 
 int main() {
   constexpr std::uint32_t kReplicas = 7;  // f = 2
-
-  sim::Simulator simulator;
-  sim::NetworkConfig net_cfg;
-  sim::Network network(simulator, net_cfg);
-  const crypto::ThresholdScheme scheme(kReplicas, 5, /*seed=*/3);
-  core::ProtocolMetrics metrics;
 
   core::LeopardConfig cfg;
   cfg.n = kReplicas;
@@ -40,47 +28,38 @@ int main() {
   cfg.bftblock_links = 2;
   cfg.view_timeout = 2 * sim::kSecond;
 
-  std::vector<protocol::SimReplica> handles;
-  std::vector<core::LeopardReplica*> replicas;
-  for (std::uint32_t id = 0; id < kReplicas; ++id) {
-    protocol::ProtocolSpec spec;
-    spec.config = cfg;
-    if (id == 5) {
-      // s = 2f: blocks link, f replicas must retrieve...
-      spec.byzantine.selective_recipients = 4;
-      spec.byzantine.ignore_queries = true;  // ...and it refuses to help retrieval
-    }
-    if (id == 1) {
-      spec.byzantine.crash_at = 4 * sim::kSecond;  // phase 2: view-1 leader goes silent
-    }
-    handles.push_back(protocol::make_sim_replica(network, metrics, spec, scheme, id));
-    replicas.push_back(&handles.back().as<core::LeopardReplica>());
-  }
+  std::vector<core::ByzantineSpec> byzantine(kReplicas);
+  // s = 2f: blocks link, f replicas must retrieve...
+  byzantine[5].selective_recipients = 4;
+  byzantine[5].ignore_queries = true;  // ...and it refuses to help retrieval
+  byzantine[1].crash_at = 4 * sim::kSecond;  // phase 2: view-1 leader goes silent
 
-  std::vector<protocol::SimClient> clients;
-  for (std::uint32_t id = 0; id < kReplicas; ++id) {
-    if (id == 1) continue;
-    core::ClientConfig client_cfg;
-    client_cfg.request_rate = 2000;
-    client_cfg.resubmit_timeout = 2 * sim::kSecond;  // re-route around faults
-    clients.push_back(protocol::make_sim_client(network, metrics, client_cfg, id, kReplicas,
-                                                1, 500 + id));
-  }
+  core::ClientConfig client_cfg;
+  client_cfg.request_rate = 2000;
+  client_cfg.resubmit_timeout = 2 * sim::kSecond;  // re-route around faults
 
-  network.start_all();
+  harness::SimClusterConfig cluster_cfg;
+  cluster_cfg.spec.config = cfg;
+  cluster_cfg.mutate_spec = harness::byzantine_replicas(byzantine);
+  cluster_cfg.seed = 3;
+  cluster_cfg.clients = harness::groups_per_replica(kReplicas, /*leader=*/1, client_cfg,
+                                                    /*seed_base=*/500);
+  harness::SimCluster cluster(cluster_cfg);
+  const auto& metrics = cluster.metrics();
+  const auto& observer = cluster.replica(0);
 
   std::printf("t(s)  confirmed  recovered  view@r0  leader-status\n");
   std::uint64_t last_confirmed = 0;
   for (int second = 1; second <= 12; ++second) {
-    simulator.run_until(second * sim::kSecond);
+    cluster.run_until(second * sim::kSecond);
     const auto confirmed = metrics.executed_requests;
-    const char* status = second < 4              ? "honest (selective attacker active)"
-                         : replicas[0]->view() == 1 ? "CRASHED - timers running"
-                                                    : "replaced via view-change";
+    const char* status = second < 4             ? "honest (selective attacker active)"
+                         : observer.view() == 1 ? "CRASHED - timers running"
+                                                : "replaced via view-change";
     std::printf("%4d  %9llu  %9llu  %7u  %s\n", second,
                 static_cast<unsigned long long>(confirmed - last_confirmed),
                 static_cast<unsigned long long>(metrics.datablocks_recovered),
-                replicas[0]->view(), status);
+                observer.view(), status);
     last_confirmed = confirmed;
   }
 
@@ -94,15 +73,15 @@ int main() {
   // Safety across the faults: position-wise log agreement among honest
   // replicas (1 crashed, 5 is the attacker).
   bool consistent = true;
-  const auto reference = replicas[0]->confirmed_log();
+  const auto reference = observer.confirmed_log();
   for (std::uint32_t id : {2u, 3u, 4u, 6u}) {
-    for (const auto& [sn, digest] : replicas[id]->confirmed_log()) {
+    for (const auto& [sn, digest] : cluster.replica(id).confirmed_log()) {
       const auto it = reference.find(sn);
       if (it != reference.end() && it->second != digest) consistent = false;
     }
   }
   std::printf("  safety (logs agree)    : %s\n", consistent ? "yes" : "NO (bug!)");
   std::printf("  new leader             : replica %u (view %u)\n",
-              replicas[0]->view() % kReplicas, replicas[0]->view());
+              observer.view() % kReplicas, observer.view());
   return consistent && metrics.view_changes_completed >= 1 ? 0 : 1;
 }

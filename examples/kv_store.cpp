@@ -13,12 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/client.hpp"
-#include "core/replica.hpp"
-#include "crypto/threshold_sig.hpp"
-#include "protocol/factory.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
+#include "harness/sim_cluster.hpp"
 #include "util/bytes.hpp"
 
 using namespace leopard;
@@ -113,28 +108,27 @@ class KvClient final : public sim::Node {
 int main() {
   constexpr std::uint32_t kReplicas = 7;  // f = 2
 
-  sim::Simulator simulator;
-  sim::NetworkConfig net_cfg;
-  sim::Network network(simulator, net_cfg);
-  const crypto::ThresholdScheme scheme(kReplicas, 5, /*seed=*/7);
-  core::ProtocolMetrics metrics;
-
   core::LeopardConfig cfg;
   cfg.n = kReplicas;
   cfg.datablock_requests = 50;
   cfg.bftblock_links = 2;
   cfg.datablock_max_wait = 50 * sim::kMillisecond;
 
+  std::vector<core::ByzantineSpec> byzantine(kReplicas);
+  byzantine[6].selective_recipients = 4;  // s = 2f: linked, yet f replicas must retrieve
+
+  // No client groups: the KV clients below are plain sim nodes.
+  harness::SimClusterConfig cluster_cfg;
+  cluster_cfg.spec.config = cfg;
+  cluster_cfg.mutate_spec = harness::byzantine_replicas(byzantine);
+  cluster_cfg.seed = 7;
+  harness::SimCluster cluster(cluster_cfg);
+  auto& network = cluster.net();
+
   // One KV state machine per replica, applied via the execution handler.
   std::vector<KvStore> stores(kReplicas);
-  std::vector<protocol::SimReplica> replicas;
   for (std::uint32_t id = 0; id < kReplicas; ++id) {
-    protocol::ProtocolSpec spec;
-    spec.config = cfg;
-    // s = 2f: linked, yet f replicas must retrieve
-    if (id == 6) spec.byzantine.selective_recipients = 4;
-    replicas.push_back(protocol::make_sim_replica(network, metrics, spec, scheme, id));
-    replicas.back().as<core::LeopardReplica>().set_execution_handler(
+    cluster.replica(id).set_execution_handler(
         [&stores, id](const proto::Request& r) { stores[id].apply(r); });
   }
 
@@ -146,8 +140,8 @@ int main() {
     clients.push_back(std::move(client));
   }
 
-  network.start_all();
-  simulator.run_until(6 * sim::kSecond);
+  cluster.run_until(6 * sim::kSecond);
+  const auto& metrics = cluster.metrics();
 
   std::printf("Replicated KV store on Leopard (n = %u, one selective attacker)\n", kReplicas);
   std::uint64_t total_acked = 0;

@@ -3,66 +3,44 @@
 // to wire the public API together and what the protocol produces: a growing
 // log of confirmed BFTblocks, consistent across replicas, with client acks.
 //
-// Build & run:   cmake --build build && ./build/examples/example_quickstart
+// Build & run:   cmake --build build && ./build/example_quickstart
 #include <cstdio>
-#include <memory>
-#include <vector>
 
-#include "core/client.hpp"
-#include "core/replica.hpp"
-#include "crypto/threshold_sig.hpp"
-#include "protocol/factory.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
+#include "harness/sim_cluster.hpp"
 
 using namespace leopard;
 
 int main() {
   constexpr std::uint32_t kReplicas = 4;  // n = 3f + 1 with f = 1
 
-  // 1. The simulation substrate: event clock + network with NIC/CPU models.
-  sim::Simulator simulator;
-  sim::NetworkConfig net_cfg;  // defaults: 9.8 Gbps NICs, 250 us propagation
-  sim::Network network(simulator, net_cfg);
-
-  // 2. Shared threshold-signature setup (2f+1 = 3 of 4).
-  const crypto::ThresholdScheme scheme(kReplicas, 3, /*seed=*/42);
-
-  // 3. Metrics sink shared by all parties.
-  core::ProtocolMetrics metrics;
-
-  // 4. Four Leopard replicas: sans-I/O protocol cores hosted by SimEnv
-  //    adapters. make_sim_replica registers each with the network (replica
-  //    ids must equal network node ids, so replicas register first).
+  // 1. The protocol: four Leopard replicas (sans-I/O protocol cores, each
+  //    hosted by a SimEnv adapter), 2f+1 = 3 of 4 threshold signatures.
   core::LeopardConfig cfg;
   cfg.n = kReplicas;
   cfg.datablock_requests = 100;  // small batches: this is a demo, not a bench
   cfg.bftblock_links = 2;
-  protocol::ProtocolSpec spec;
-  spec.config = cfg;
-  std::vector<protocol::SimReplica> replicas;
-  for (std::uint32_t id = 0; id < kReplicas; ++id) {
-    replicas.push_back(protocol::make_sim_replica(network, metrics, spec, scheme, id));
-  }
+  harness::SimClusterConfig cluster_cfg;
+  cluster_cfg.spec.config = cfg;
+  cluster_cfg.seed = 42;  // threshold-signature setup
 
-  // 5. Clients submit to non-leader replicas (view 1's leader is replica 1).
-  std::vector<protocol::SimClient> clients;
-  for (std::uint32_t id = 0; id < kReplicas; ++id) {
-    if (id == 1) continue;
-    core::ClientConfig client_cfg;
-    client_cfg.request_rate = 5000;  // requests/s to this replica
-    client_cfg.payload_size = 128;
-    clients.push_back(protocol::make_sim_client(network, metrics, client_cfg, id, kReplicas,
-                                                /*avoid=*/1, /*seed=*/100 + id));
-  }
+  // 2. Clients submit to non-leader replicas (view 1's leader is replica 1).
+  core::ClientConfig client_cfg;
+  client_cfg.request_rate = 5000;  // requests/s to each replica
+  client_cfg.payload_size = 128;
+  cluster_cfg.clients = harness::groups_per_replica(kReplicas, /*leader=*/1, client_cfg,
+                                                    /*seed_base=*/100);
 
-  // 6. Run two seconds of cluster time.
-  network.start_all();
-  simulator.run_until(2 * sim::kSecond);
+  // 3. The simulation substrate (event clock + network with NIC/CPU models,
+  //    defaults: 9.8 Gbps NICs, 250 us propagation) and a shared metrics sink.
+  harness::SimCluster cluster(cluster_cfg);
 
-  // 7. What happened?
+  // 4. Run two seconds of cluster time.
+  cluster.run_until(2 * sim::kSecond);
+  const auto& metrics = cluster.metrics();
+
+  // 5. What happened?
   std::printf("Leopard quickstart (n = %u, f = 1)\n", kReplicas);
-  std::printf("  simulated time        : %.2f s\n", sim::to_seconds(simulator.now()));
+  std::printf("  simulated time        : %.2f s\n", sim::to_seconds(cluster.sim().now()));
   std::printf("  requests confirmed    : %llu\n",
               static_cast<unsigned long long>(metrics.executed_requests));
   std::printf("  requests acknowledged : %llu\n",
@@ -70,8 +48,8 @@ int main() {
   std::printf("  mean latency          : %.1f ms\n", metrics.mean_latency_sec() * 1e3);
 
   std::printf("\nPer-replica view of the log:\n");
-  for (const auto& handle : replicas) {
-    const auto& replica = handle.as<core::LeopardReplica>();
+  for (std::uint32_t id = 0; id < kReplicas; ++id) {
+    const auto& replica = cluster.replica(id);
     std::printf("  replica %u: executed through sn=%llu, state digest %s\n",
                 replica.id(),
                 static_cast<unsigned long long>(replica.executed_through()),
@@ -79,10 +57,10 @@ int main() {
   }
 
   // Safety check: every pair of replicas agrees on every confirmed position.
-  const auto& reference = replicas[0].as<core::LeopardReplica>().confirmed_log();
+  const auto& reference = cluster.replica(0).confirmed_log();
   bool consistent = true;
-  for (const auto& handle : replicas) {
-    for (const auto& [sn, digest] : handle.as<core::LeopardReplica>().confirmed_log()) {
+  for (std::uint32_t id = 0; id < kReplicas; ++id) {
+    for (const auto& [sn, digest] : cluster.replica(id).confirmed_log()) {
       const auto it = reference.find(sn);
       if (it != reference.end() && it->second != digest) consistent = false;
     }

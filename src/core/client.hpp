@@ -7,8 +7,8 @@
 // re-submission run on `SetTimer`/`TimerFired`, submissions leave as `Send`
 // actions, and ack latency is reported through `MetricsUpdate`
 // (`Metric::kAckLatencySample`). The same core therefore drives both the
-// discrete-event simulator (`SimEnv`, via `make_sim_client`) and a real
-// deployment (`net::SocketEnv`, via the `leopard_node --client` driver).
+// discrete-event simulator (`SimEnv`, hosted by `harness::SimCluster`) and a
+// real deployment (`net::SocketEnv`, via `leopard_node --client`).
 //
 // Two load modes:
 //   - open loop (default): Poisson-paced bursts at `request_rate` req/s, the

@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/client.hpp"
-#include "crypto/threshold_sig.hpp"
-#include "protocol/factory.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
 #include "util/check.hpp"
 #include "util/worker_pool.hpp"
 
@@ -160,29 +155,10 @@ double estimate_capacity(const ExperimentConfig& cfg) {
   return 0;
 }
 
-ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  util::expects(cfg.n >= 4, "experiments require n >= 4");
+namespace {
 
-  // Size the compute pool for this run. Deterministic for any value: the
-  // pool only accelerates pure kernels (erasure encode, Merkle hashing)
-  // whose outputs are byte-identical at every lane count, and simulated CPU
-  // costs come from the CostModel, not wall clock.
-  util::WorkerPool::global().resize(std::max<std::uint32_t>(cfg.encode_workers, 1));
-
-  sim::Simulator sim;
-  sim::NetworkConfig net_cfg;
-  net_cfg.default_out_bps = cfg.bandwidth_bps;
-  net_cfg.default_in_bps = cfg.bandwidth_bps;
-  net_cfg.shared_duplex = cfg.shared_duplex;
-  sim::Network net(sim, net_cfg);
-
-  const std::uint32_t f = (cfg.n - 1) / 3;
-  const crypto::ThresholdScheme ts(cfg.n, 2 * f + 1, cfg.seed);
-  core::ProtocolMetrics metrics;
-
-  const bool leopard = cfg.protocol == Protocol::kLeopard;
-  const sim::NodeId leader_id = leopard ? 1 % cfg.n : 0;
-
+double offered_load(const ExperimentConfig& cfg) {
+  if (cfg.offered_load > 0) return cfg.offered_load;
   // Auto-saturation. Leopard runs with a standing client backlog that keeps
   // every datablock at full size, so the offered rate must sit just BELOW
   // capacity — any structural excess grows every replica's CPU queue without
@@ -190,22 +166,34 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // The baselines shed cheaply at the leader, so a slight overshoot is safe
   // and keeps their batches full.
   double saturation = 1.15;
-  if (leopard) saturation = 0.97;
+  if (cfg.protocol == Protocol::kLeopard) saturation = 0.97;
   if (cfg.shared_duplex) saturation = 0.90;  // shared links queue badly near rho=1
-  const double offered =
-      cfg.offered_load > 0 ? cfg.offered_load : saturation * estimate_capacity(cfg);
+  return saturation * estimate_capacity(cfg);
+}
 
-  // --- Build replicas ------------------------------------------------------
+}  // namespace
+
+SimClusterConfig experiment_cluster(const ExperimentConfig& cfg) {
+  util::expects(cfg.n >= 4, "experiments require n >= 4");
+  const bool leopard = cfg.protocol == Protocol::kLeopard;
+  const sim::NodeId leader_id = leopard ? 1 % cfg.n : 0;
+  const double offered = offered_load(cfg);
+
+  SimClusterConfig out;
+  out.net.default_out_bps = cfg.bandwidth_bps;
+  out.net.default_in_bps = cfg.bandwidth_bps;
+  out.net.shared_duplex = cfg.shared_duplex;
+  out.seed = cfg.seed;
+
   // Protocol-generic construction: translate the experiment knobs into a
-  // ProtocolSpec once, then stamp out sans-I/O cores behind SimEnv adapters.
-  protocol::ProtocolSpec base_spec;
+  // ProtocolSpec once; the cluster stamps out sans-I/O cores behind SimEnvs.
   if (leopard) {
     core::LeopardConfig lcfg;
     lcfg.n = cfg.n;
     lcfg.datablock_requests = cfg.datablock_requests;
     lcfg.bftblock_links = cfg.bftblock_links;
     lcfg.payload_size = cfg.payload_size;
-    lcfg.mempool_capacity = std::max<std::uint32_t>(3 * cfg.datablock_requests, 4000);
+    lcfg.mempool_capacity = saturation_backlog(cfg.datablock_requests);
     lcfg.enable_ready_round = cfg.enable_ready_round;
     if (cfg.proposal_max_wait > 0) lcfg.proposal_max_wait = cfg.proposal_max_wait;
     if (cfg.view_timeout > 0) {
@@ -218,63 +206,70 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       // experiment is about the view-change itself.
       lcfg.view_timeout = 3600 * sim::kSecond;
     }
-    base_spec.config = lcfg;
+    out.spec.config = lcfg;
   } else if (cfg.protocol == Protocol::kHotStuff) {
     baselines::HotStuffConfig hcfg;
     hcfg.n = cfg.n;
     hcfg.batch_size = cfg.batch_size;
     hcfg.payload_size = cfg.payload_size;
-    base_spec.config = hcfg;
+    out.spec.config = hcfg;
   } else {
     baselines::PbftConfig pcfg;
     pcfg.n = cfg.n;
     pcfg.batch_size = cfg.batch_size;
     pcfg.payload_size = cfg.payload_size;
-    base_spec.config = pcfg;
+    out.spec.config = pcfg;
   }
 
-  std::vector<protocol::SimReplica> replicas;
-  replicas.reserve(cfg.n);
-
-  std::uint32_t byz_assigned = 0;
-  for (std::uint32_t id = 0; id < cfg.n; ++id) {
-    auto spec = base_spec;
-    if (id != leader_id && id != 0 && byz_assigned < cfg.byzantine_count) {
-      spec.byzantine = cfg.byzantine_spec;
+  // Faults: the byzantine spec goes to the first `byzantine_count` replicas
+  // that are neither the initial leader nor the observer (replica 0).
+  if (cfg.byzantine_count > 0 || cfg.crash_leader_at) {
+    std::vector<core::ByzantineSpec> byzantine(cfg.n);
+    std::uint32_t byz_assigned = 0;
+    for (std::uint32_t id = 1; id < cfg.n && byz_assigned < cfg.byzantine_count; ++id) {
+      if (id == leader_id) continue;
+      byzantine[id] = cfg.byzantine_spec;
       ++byz_assigned;
     }
-    if (cfg.crash_leader_at && id == leader_id) spec.byzantine.crash_at = *cfg.crash_leader_at;
-
-    replicas.push_back(protocol::make_sim_replica(net, metrics, spec, ts, id));
+    if (cfg.crash_leader_at) byzantine[leader_id].crash_at = *cfg.crash_leader_at;
+    out.mutate_spec = byzantine_replicas(std::move(byzantine));
   }
 
-  // --- Build clients --------------------------------------------------------
-  std::vector<protocol::SimClient> clients;
   if (leopard) {
-    const double per_group = offered / static_cast<double>(cfg.n - 1);
     // Saturation requires the mempool pinned at capacity from t = 0 so every
     // datablock fills to α (the paper stress-tests "with a saturated request
     // rate"); without the standing backlog, large-n runs degrade into tiny
     // timer-flushed datablocks and the ready round floods the leader.
-    const auto backlog = std::max<std::uint32_t>(3 * cfg.datablock_requests, 4000);
-    for (std::uint32_t id = 0; id < cfg.n; ++id) {
-      if (id == leader_id) continue;  // clients submit to non-leader replicas
-      core::ClientConfig ccfg;
-      ccfg.request_rate = per_group;
-      ccfg.payload_size = cfg.payload_size;
-      ccfg.resubmit_timeout = cfg.client_resubmit_timeout;
-      ccfg.initial_backlog = backlog;
-      clients.push_back(protocol::make_sim_client(net, metrics, ccfg, id, cfg.n, leader_id,
-                                                  cfg.seed + 1000 + id));
-    }
+    core::ClientConfig ccfg;
+    ccfg.request_rate = offered / static_cast<double>(cfg.n - 1);
+    ccfg.payload_size = cfg.payload_size;
+    ccfg.resubmit_timeout = cfg.client_resubmit_timeout;
+    ccfg.initial_backlog = saturation_backlog(cfg.datablock_requests);
+    out.clients = groups_per_replica(cfg.n, leader_id, ccfg, cfg.seed + 1000);
   } else {
     core::ClientConfig ccfg;
     ccfg.request_rate = offered;
     ccfg.payload_size = cfg.payload_size;
     ccfg.initial_backlog = 2 * cfg.batch_size;
-    clients.push_back(protocol::make_sim_client(net, metrics, ccfg, leader_id, cfg.n,
-                                                cfg.n /*avoid: none*/, cfg.seed + 999));
+    out.clients.push_back(ClientGroup{ccfg, leader_id, cfg.n /*avoid: none*/, cfg.seed + 999});
   }
+  return out;
+}
+
+ExperimentResult run_experiment(const ExperimentConfig& cfg) {
+  // Size the compute pool for this run. Deterministic for any value: the
+  // pool only accelerates pure kernels (erasure encode, Merkle hashing)
+  // whose outputs are byte-identical at every lane count, and simulated CPU
+  // costs come from the CostModel, not wall clock.
+  util::WorkerPool::global().resize(std::max<std::uint32_t>(cfg.encode_workers, 1));
+
+  SimCluster cluster(experiment_cluster(cfg));
+  auto& sim = cluster.sim();
+  auto& net = cluster.net();
+  auto& metrics = cluster.metrics();
+  const bool leopard = cfg.protocol == Protocol::kLeopard;
+  const sim::NodeId leader_id = leopard ? 1 % cfg.n : 0;
+  const double offered = offered_load(cfg);
 
   // --- Windows ---------------------------------------------------------------
   sim::SimTime warmup = cfg.warmup;
@@ -285,8 +280,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     // The initial standing backlog is a one-off CPU shock at every replica;
     // warmup must cover draining it plus at least one consensus cadence.
     const double backlog_total =
-        static_cast<double>(std::max<std::uint32_t>(3 * cfg.datablock_requests, 4000)) *
-        (cfg.n - 1);
+        static_cast<double>(saturation_backlog(cfg.datablock_requests)) * (cfg.n - 1);
     const double backlog_drain_sec = backlog_total / offered;
     if (warmup == 0) {
       warmup = sim::from_seconds(
@@ -303,14 +297,13 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   }
 
   // --- Run ---------------------------------------------------------------------
-  net.start_all();
-  sim.run_until(warmup);
+  cluster.run_until(warmup);
 
   net.traffic().mark_measurement_start(sim.now());
   core::ProtocolMetrics baseline = metrics;
   metrics.latency_hist.reset();  // percentiles from the window only
 
-  sim.run_until(warmup + measure);
+  cluster.run_until(warmup + measure);
   const auto now = sim.now();
   const double window_sec = sim::to_seconds(measure);
 

@@ -12,6 +12,7 @@
 #include "core/byzantine.hpp"
 #include "core/config.hpp"
 #include "core/metrics.hpp"
+#include "harness/sim_cluster.hpp"
 #include "sim/message.hpp"
 #include "sim/time.hpp"
 
@@ -129,6 +130,12 @@ struct ExperimentResult {
 /// Estimated sustainable throughput (requests/s) for auto-saturation; also
 /// useful to size workloads in examples.
 double estimate_capacity(const ExperimentConfig& cfg);
+
+/// The cluster run_experiment measures: the protocol's spec with the
+/// configured batches and faults, and the (auto-saturating) offered load
+/// spread over client groups. bench_shard and the sharded tests run it with
+/// more shards.
+SimClusterConfig experiment_cluster(const ExperimentConfig& cfg);
 
 /// Builds the cluster, runs warmup + measurement, returns aggregated results.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);

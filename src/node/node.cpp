@@ -134,7 +134,6 @@ obs::HttpServer::Response statusz(const Fields& fields, net::SocketEnv& env,
 /// Aux-timer token for the cross-shard stall tick. StateSync owns tokens 1
 /// and 2 on the same aux wheel; this namespace is disjoint by construction.
 constexpr std::uint64_t kStallTimer = 0x100;
-constexpr sim::SimTime kStallTickInterval = 100 * sim::kMillisecond;
 
 }  // namespace
 
@@ -426,7 +425,7 @@ Fields Replica::run() {
       ++noops_injected;
     }
     last_emitted = sequencer.emitted();
-    env.arm_aux_timer(kStallTimer, kStallTickInterval);
+    env.arm_aux_timer(kStallTimer, shard::kStallTickInterval);
   };
   env.set_aux_timer_handler([&](std::uint64_t token) {
     if (token == kStallTimer) {
@@ -440,7 +439,7 @@ Fields Replica::run() {
   if (sync.executed_blocks() > 0) {
     sequencer.advance_to(sync.tail_seq(), sync.tail_ordinal());
   }
-  env.arm_aux_timer(kStallTimer, kStallTickInterval);
+  env.arm_aux_timer(kStallTimer, shard::kStallTickInterval);
 
   const auto deadline = opts_.run_for >= 0 ? sim::from_seconds(opts_.run_for) : -1;
   env.run([&] { return stop_.load() || (deadline >= 0 && env.now() >= deadline); });
@@ -453,9 +452,9 @@ Fields Replica::run() {
 Client::Client(net::Manifest manifest, ClientOptions opts, obs::Registry& registry)
     : manifest_(std::move(manifest)), opts_(std::move(opts)), registry_(registry) {}
 
-/// The closed-loop client driver: one LeopardClient per shard, each behind a
-/// shard::MuxEnv over one SocketEnv. At S = 1 that is one client with the
-/// whole window, the whole request count and seed + id.
+/// The closed-loop client: one LeopardClient per shard with work,
+/// each behind a shard::MuxEnv over one SocketEnv. At S = 1 that is one
+/// client with the whole window, the whole request count and seed + id.
 Fields Client::run() {
   const std::uint32_t shards = opts_.shards != 0 ? opts_.shards : manifest_.shards;
 
@@ -468,33 +467,28 @@ Fields Client::run() {
   const bool leopard = manifest_.protocol == "leopard";
   if (leopard) cfg.route_by_mu = true;  // µ(req) load balancing over non-leader replicas
 
-  // Hash-partition the request index space across shards (the same
-  // shard_of split the sim driver uses), with a per-shard slice of the
-  // closed-loop window.
+  // Hash-partition the request index space across shards (the split the
+  // simulated client uses), with a per-shard slice of the closed-loop window.
+  cfg.total_requests = opts_.requests;
+  cfg.closed_loop_window = std::max(1u, opts_.window);
   const std::uint64_t seed = manifest_.seed + opts_.id;
-  std::vector<std::uint64_t> totals(shards, 0);
-  for (std::uint64_t i = 0; i < opts_.requests; ++i) {
-    ++totals[shard::shard_of(seed, i, shards)];
-  }
 
   net::SocketEnv env(manifest_.client_env_options(opts_.id));
 
   std::vector<std::unique_ptr<core::LeopardClient>> subs;
   std::vector<std::unique_ptr<shard::MuxEnv>> muxes;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    core::ClientConfig sub_cfg = cfg;
-    sub_cfg.total_requests = totals[s];
-    sub_cfg.closed_loop_window = std::max(1u, opts_.window / shards);
+  for (const auto& slice : shard::split_client(cfg, seed, shards)) {
     // Baselines accept client requests only at the leader, so the
     // re-submission rotation set is just {leader}; Leopard rotates over all
     // non-leader replicas.
     auto sub = std::make_unique<core::LeopardClient>(
-        sub_cfg, /*target=*/leader, /*replica_count=*/leopard ? manifest_.n : 1,
-        /*avoid=*/leopard ? leader : manifest_.n, seed + 7919ull * s);
+        slice.cfg, /*target=*/leader, /*replica_count=*/leopard ? manifest_.n : 1,
+        /*avoid=*/leopard ? leader : manifest_.n, slice.seed);
     sub->set_self_id(opts_.id);
     // env.metrics() is shared across every shard's MuxEnv, so the latency
     // histogram merges and the report math below stays identical.
-    auto mux = std::make_unique<shard::MuxEnv>(env, env.metrics(), manifest_.n, s, shards);
+    auto mux =
+        std::make_unique<shard::MuxEnv>(env, env.metrics(), manifest_.n, slice.shard, shards);
     mux->attach(*sub);
     subs.push_back(std::move(sub));
     muxes.push_back(std::move(mux));

@@ -30,9 +30,10 @@ std::unique_ptr<Protocol> make_protocol(const ProtocolSpec& spec,
                                         const crypto::ThresholdScheme& ts,
                                         proto::ReplicaId id);
 
-/// A protocol core bound to its simulator adapter. Construction order matters
-/// for the network-id invariant (replica ids == node ids), so use
-/// make_sim_replica instead of wiring the pieces by hand.
+/// A protocol core bound to its simulator adapter, for code that wires a
+/// network by hand (clusters come from harness::SimCluster). Construction
+/// order matters for the network-id invariant (replica ids == node ids), so
+/// use make_sim_replica instead of wiring the pieces by hand.
 struct SimReplica {
   std::unique_ptr<Protocol> core;
   std::unique_ptr<SimEnv> env;
@@ -51,7 +52,8 @@ SimReplica make_sim_replica(sim::Network& net, core::ProtocolMetrics& metrics,
                             proto::ReplicaId id);
 
 /// A client core bound to its simulator adapter (clients are unmetered nodes
-/// whose env-level id is assigned by the network at registration).
+/// whose env-level id is assigned by the network at registration), for a
+/// client driven against stand-in replicas.
 struct SimClient {
   std::unique_ptr<core::LeopardClient> core;
   std::unique_ptr<SimEnv> env;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "protocol/replay.hpp"
+#include "shard/sequencer.hpp"
 #include "util/check.hpp"
 
 namespace leopard::protocol {
@@ -57,8 +58,10 @@ void apply_metrics_update(core::ProtocolMetrics& metrics, const MetricsUpdate& u
   }
 }
 
-SimEnv::SimEnv(sim::Network& net, core::ProtocolMetrics& metrics, std::uint32_t n_replicas)
-    : net_(net), metrics_(metrics) {
+SimEnv::SimEnv(sim::Network& net, core::ProtocolMetrics& metrics, std::uint32_t n_replicas,
+               std::uint32_t shard, std::uint32_t shards)
+    : net_(net), metrics_(metrics), n_(n_replicas), shard_(shard) {
+  util::expects(shard < shards, "SimEnv: shard out of range");
   replica_ids_.resize(n_replicas);
   for (std::uint32_t i = 0; i < n_replicas; ++i) replica_ids_[i] = i;
 }
@@ -68,24 +71,54 @@ void SimEnv::attach(Protocol& protocol) {
   id_ = protocol.id();
 }
 
+NodeId SimEnv::rotate_out(NodeId core_id) const {
+  if (shard_ == 0 || core_id >= n_) return core_id;  // clients pass through unrotated
+  return (core_id + shard_) % n_;
+}
+
+NodeId SimEnv::rotate_in(NodeId phys_id) const {
+  if (shard_ == 0 || phys_id >= n_) return phys_id;
+  return (phys_id + n_ - shard_ % n_) % n_;
+}
+
+sim::PayloadPtr SimEnv::wrap(sim::PayloadPtr payload) const {
+  if (shard_ == 0) return payload;  // bare: byte-compatible with S=1
+  return std::make_shared<ShardEnvelope>(shard_, std::move(payload));
+}
+
 void SimEnv::start() {
   util::expects(protocol_ != nullptr, "SimEnv::start without an attached protocol");
+  net_.set_active_lane(id_, shard_);
   begin_step(Event{Start{}});
   protocol_->on_start(*this);
 }
 
 void SimEnv::on_message(sim::NodeId from, const sim::PayloadPtr& msg) {
+  from = rotate_in(from);
   if (auto cr = std::dynamic_pointer_cast<const proto::ClientRequestMsg>(msg)) {
-    begin_step(Event{ClientRequest{from, cr}});
-    protocol_->on_client_request(*this, from, cr);
+    deliver_request(from, std::move(cr));
   } else {
     begin_step(Event{MessageIn{from, msg}});
     protocol_->on_message(*this, from, msg);
   }
 }
 
+void SimEnv::inject_request(NodeId from, std::shared_ptr<const proto::ClientRequestMsg> msg) {
+  // Local injection enters the core outside network dispatch: pin this
+  // core's CPU lane so its charges don't bill whichever lane ran last.
+  net_.set_active_lane(id_, shard_);
+  deliver_request(from, std::move(msg));
+}
+
+void SimEnv::deliver_request(NodeId from, std::shared_ptr<const proto::ClientRequestMsg> msg) {
+  begin_step(Event{ClientRequest{from, msg}});
+  protocol_->on_client_request(*this, from, msg);
+}
+
 void SimEnv::fire_timer(TimerToken token) {
   timers_.erase(token);  // fired: the handle is spent
+  // Timers fire outside network dispatch: pin this core's lane (see above).
+  net_.set_active_lane(id_, shard_);
   begin_step(Event{TimerFired{token}});
   protocol_->on_timer(*this, token);
 }
@@ -96,9 +129,14 @@ void SimEnv::apply(Action action) {
       [&](auto& a) {
         using T = std::decay_t<decltype(a)>;
         if constexpr (std::is_same_v<T, Send>) {
-          net_.send(id_, a.to, std::move(a.payload));
+          // No-op pseudo-clients have no network presence: their acks die
+          // here, before the simulator can reject the unknown destination.
+          if (a.to >= shard::kNoopClientBase) return;
+          net_.send(id_, rotate_out(a.to), wrap(std::move(a.payload)));
         } else if constexpr (std::is_same_v<T, Broadcast>) {
-          net_.multicast(id_, replica_ids_, a.payload);
+          // Rotation is a bijection on [0, n): "all replicas but self" is
+          // the same physical set, so broadcasts need no per-target rotation.
+          net_.multicast(id_, replica_ids_, wrap(std::move(a.payload)));
         } else if constexpr (std::is_same_v<T, SetTimer>) {
           auto& slot = timers_[a.token];
           slot.cancel();  // re-arming an armed token replaces it

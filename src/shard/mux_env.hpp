@@ -1,7 +1,7 @@
 // MuxEnv: protocol::Env adapter for ONE shard's core hosted over a SHARED
-// net::SocketEnv — the real-wire twin of ShardSimEnv. S MuxEnvs multiplex S
-// unmodified sans-I/O cores over the same TCP connections, timer wheels and
-// event loop:
+// net::SocketEnv — the real-wire twin of protocol::SimEnv. S MuxEnvs
+// multiplex S unmodified sans-I/O cores over the same TCP connections, timer
+// wheels and event loop:
 //
 //   - outbound Send/Broadcast route through SocketEnv::send_payload /
 //     broadcast_payload tagged with this shard's instance id (shard 0

@@ -1,5 +1,6 @@
 #include "shard/sequencer.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -22,6 +23,34 @@ std::uint32_t shard_of(std::uint64_t client_id, std::uint64_t index, std::uint32
   util::expects(shards >= 1, "shard_of: shards must be >= 1");
   if (shards == 1) return 0;
   return static_cast<std::uint32_t>(mix64(client_id * 0x100000001b3ull + index) % shards);
+}
+
+std::vector<ClientSlice> split_client(const core::ClientConfig& cfg, std::uint64_t seed,
+                                      std::uint32_t shards) {
+  util::expects(shards >= 1 && shards <= kMaxShards, "split_client: bad shard count");
+  // Rates use a sampled horizon; counts are split exactly.
+  constexpr std::uint64_t kHorizon = 4096;
+  std::vector<std::uint64_t> horizon(shards, 0);
+  std::vector<std::uint32_t> backlog(shards, 0);
+  std::vector<std::uint64_t> totals(shards, 0);
+  for (std::uint64_t i = 0; i < kHorizon; ++i) ++horizon[shard_of(seed, i, shards)];
+  for (std::uint64_t i = 0; i < cfg.initial_backlog; ++i) ++backlog[shard_of(seed, i, shards)];
+  for (std::uint64_t i = 0; i < cfg.total_requests; ++i) ++totals[shard_of(seed, i, shards)];
+
+  std::vector<ClientSlice> slices;
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    if (cfg.total_requests > 0 && totals[s] == 0) continue;
+    ClientSlice slice{s, cfg, seed + 7919ull * s};
+    const double share = static_cast<double>(horizon[s]) / static_cast<double>(kHorizon);
+    slice.cfg.request_rate = cfg.request_rate * share;
+    slice.cfg.initial_backlog = backlog[s];
+    slice.cfg.total_requests = totals[s];
+    if (cfg.closed_loop_window > 0) {
+      slice.cfg.closed_loop_window = std::max(1u, cfg.closed_loop_window / shards);
+    }
+    slices.push_back(std::move(slice));
+  }
+  return slices;
 }
 
 bool is_filler_block(const sim::Payload& block) {

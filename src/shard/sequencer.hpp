@@ -49,6 +49,7 @@
 #include <map>
 #include <vector>
 
+#include "core/client.hpp"
 #include "protocol/protocol.hpp"
 
 namespace leopard::shard {
@@ -64,6 +65,9 @@ inline constexpr std::uint32_t kMaxShards = 1u << (32 - kShardOrdinalBits);
 /// handing them to the network. Hosts (and tests) use this range for any
 /// locally-injected request whose acks have no consumer.
 inline constexpr sim::NodeId kNoopClientBase = 0xF0000000u;
+
+/// Period of a sharded host's stall check (see the liveness argument above).
+inline constexpr sim::SimTime kStallTickInterval = 100 * sim::kMillisecond;
 
 /// Sub-range of the pseudo-client space reserved for stall FILLER no-ops
 /// (kFillerClientBase + physical replica id). Only requests from this range
@@ -87,6 +91,23 @@ inline constexpr sim::NodeId kFillerClientBase = 0xF8000000u;
 /// without coordination and every driver computes the same assignment.
 [[nodiscard]] std::uint32_t shard_of(std::uint64_t client_id, std::uint64_t index,
                                      std::uint32_t shards);
+
+/// One shard's slice of a client group (see split_client).
+struct ClientSlice {
+  std::uint32_t shard = 0;
+  core::ClientConfig cfg;
+  std::uint64_t seed = 0;
+};
+
+/// Splits one client group across `shards` the way every client (sim and TCP) does:
+/// request index i goes to shard shard_of(seed, i, shards). Shard s gets an
+/// exact count of the request budget and the standing backlog, a sampled
+/// share of the rate, the floor share (at least 1) of a closed-loop window,
+/// and seed + 7919 s. A shard whose share of a bounded budget is 0 gets no
+/// slice: a sub-client with total_requests = 0 would submit without limit.
+[[nodiscard]] std::vector<ClientSlice> split_client(const core::ClientConfig& cfg,
+                                                    std::uint64_t seed,
+                                                    std::uint32_t shards);
 
 /// True when `block` carries only liveness-filler content: a datablock all
 /// of whose requests come from filler pseudo-clients (or an empty one). The

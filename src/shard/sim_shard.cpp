@@ -2,102 +2,70 @@
 
 #include <utility>
 
-#include "protocol/replay.hpp"
 #include "protocol/sim_env.hpp"
 #include "util/check.hpp"
 
 namespace leopard::shard {
 
-// ---------------------------------------------------------------------------
-// ShardSimEnv
-// ---------------------------------------------------------------------------
-
-ShardSimEnv::ShardSimEnv(sim::Network& net, core::ProtocolMetrics& metrics,
-                         std::uint32_t n_replicas, std::uint32_t shard, std::uint32_t shards)
-    : net_(net), metrics_(metrics), n_(n_replicas), shard_(shard) {
-  util::expects(shard < shards, "ShardSimEnv: shard out of range");
-  util::expects(shards <= kMaxShards, "ShardSimEnv: too many shards");
-  replica_phys_ids_.resize(n_replicas);
-  for (std::uint32_t i = 0; i < n_replicas; ++i) replica_phys_ids_[i] = i;
-}
-
-sim::NodeId ShardSimEnv::rotate_out(sim::NodeId core_id) const {
-  if (core_id >= n_) return core_id;  // clients pass through unrotated
-  return (core_id + shard_) % n_;
-}
-
-sim::NodeId ShardSimEnv::rotate_in(sim::NodeId phys_id) const {
-  if (phys_id >= n_) return phys_id;
-  return (phys_id + n_ - shard_ % n_) % n_;
-}
-
-sim::PayloadPtr ShardSimEnv::wrap(sim::PayloadPtr payload) const {
-  if (shard_ == 0) return payload;  // bare: byte-compatible with S=1
-  return std::make_shared<ShardEnvelope>(shard_, std::move(payload));
-}
-
-void ShardSimEnv::start() {
-  util::expects(core_ != nullptr, "ShardSimEnv::start without an attached core");
-  net_.set_active_lane(phys_, shard_);
-  core_->on_start(*this);
-}
-
-void ShardSimEnv::deliver(sim::NodeId phys_from, const sim::PayloadPtr& inner) {
-  const auto from = rotate_in(phys_from);
-  if (auto cr = std::dynamic_pointer_cast<const proto::ClientRequestMsg>(inner)) {
-    core_->on_client_request(*this, from, cr);
-  } else {
-    core_->on_message(*this, from, inner);
+std::vector<chaos::ExecRecord> reference_merge(
+    const std::vector<std::vector<chaos::ExecRecord>>& shard_streams) {
+  const auto shards = static_cast<std::uint32_t>(shard_streams.size());
+  std::vector<chaos::ExecRecord> out;
+  std::vector<std::size_t> next(shards, 0);
+  for (std::uint64_t q = 0;; ++q) {
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      const auto& stream = shard_streams[s];
+      auto& idx = next[s];
+      // Emit this shard's round-q records (incremental emission: they come
+      // out even if the slot never closes).
+      while (idx < stream.size() && stream[idx].seq == q) {
+        out.push_back(chaos::ExecRecord{q, pack_ordinal(s, stream[idx].ordinal),
+                                        stream[idx].fingerprint, stream[idx].requests});
+        ++idx;
+      }
+      // The slot closes only on proof sseq > q; without it the cursor parks
+      // here forever.
+      if (idx >= stream.size()) return out;
+    }
   }
 }
 
-void ShardSimEnv::inject_request(sim::NodeId from,
-                                 std::shared_ptr<const proto::ClientRequestMsg> msg) {
-  // Local injection enters the core outside network dispatch: pin this
-  // core's CPU lane so its charges don't bill whichever lane ran last.
-  net_.set_active_lane(phys_, shard_);
-  core_->on_client_request(*this, from, msg);
+// ---------------------------------------------------------------------------
+// SimHost
+// ---------------------------------------------------------------------------
+
+SimHost::SimHost(std::uint32_t shards) : envs_(shards), cores_(shards) {
+  util::expects(shards >= 1 && shards <= kMaxShards, "SimHost: bad shard count");
 }
 
-void ShardSimEnv::fire_timer(protocol::TimerToken token) {
-  timers_.erase(token);
-  // Timers fire outside network dispatch: pin this core's lane (see above).
-  net_.set_active_lane(phys_, shard_);
-  core_->on_timer(*this, token);
+void SimHost::start() {
+  for (auto& env : envs_) {
+    if (env) env->start();
+  }
 }
 
-void ShardSimEnv::apply(protocol::Action action) {
-  std::visit(
-      [&](auto& a) {
-        using T = std::decay_t<decltype(a)>;
-        if constexpr (std::is_same_v<T, protocol::Send>) {
-          // No-op pseudo-clients have no network presence: their acks die
-          // here, before the simulator can reject the unknown destination.
-          if (a.to >= kNoopClientBase) return;
-          net_.send(phys_, rotate_out(a.to), wrap(std::move(a.payload)));
-        } else if constexpr (std::is_same_v<T, protocol::Broadcast>) {
-          // Rotation is a bijection on [0, n): "all replicas but self" is
-          // the same physical set, so broadcasts need no per-target rotation.
-          net_.multicast(phys_, replica_phys_ids_, wrap(std::move(a.payload)));
-        } else if constexpr (std::is_same_v<T, protocol::SetTimer>) {
-          auto& slot = timers_[a.token];
-          slot.cancel();
-          slot = net_.sim().schedule_after(a.delay,
-                                           [this, token = a.token] { fire_timer(token); });
-        } else if constexpr (std::is_same_v<T, protocol::CancelTimer>) {
-          if (const auto it = timers_.find(a.token); it != timers_.end()) {
-            it->second.cancel();
-            timers_.erase(it);
-          }
-        } else if constexpr (std::is_same_v<T, protocol::Execute>) {
-          if (execute_observer_) execute_observer_(a);
-        } else if constexpr (std::is_same_v<T, protocol::MetricsUpdate>) {
-          protocol::apply_metrics_update(metrics_, a);
-        } else {
-          net_.charge_cpu(phys_, a.cost);
-        }
-      },
-      action);
+void SimHost::on_message(sim::NodeId from, const sim::PayloadPtr& msg) {
+  if (auto envelope = std::dynamic_pointer_cast<const protocol::ShardEnvelope>(msg)) {
+    // Unknown shard ids are dropped frame-level, mirroring the SocketEnv
+    // unknown_instance stat: a mixed-S cluster must not lose whole links.
+    if (envelope->shard < envs_.size() && envs_[envelope->shard]) {
+      envs_[envelope->shard]->on_message(from, envelope->inner);
+    }
+    return;
+  }
+  if (envs_[0]) envs_[0]->on_message(from, msg);
+}
+
+void SimHost::record() {
+  traces_.resize(envs_.size());
+  for (std::size_t s = 0; s < envs_.size(); ++s) {
+    if (envs_[s]) envs_[s]->set_recorder(&traces_[s]);
+  }
+}
+
+const protocol::Trace& SimHost::trace(std::uint32_t shard) const {
+  util::expects(recording(), "trace(): host is not recording");
+  return traces_.at(shard);
 }
 
 // ---------------------------------------------------------------------------
@@ -108,19 +76,19 @@ ShardedSimNode::ShardedSimNode(
     sim::Network& net, core::ProtocolMetrics& metrics,
     const std::function<protocol::ProtocolSpec(std::uint32_t shard)>& spec_for,
     const std::vector<crypto::ThresholdScheme>& schemes, std::uint32_t shards,
-    sim::NodeId phys_id, sim::SimTime stall_tick)
-    : net_(net),
+    sim::NodeId phys_id)
+    : SimHost(shards),
+      net_(net),
       phys_(phys_id),
       shards_(shards),
-      stall_tick_interval_(stall_tick),
-      sequencer_(shards,
-                 [this](const GlobalRecord& r) {
-                   if (!is_filler_block(*r.exec.block)) --pending_real_;
-                   merged_.push_back(chaos::ExecRecord{
-                       r.exec.seq, r.exec.ordinal,
-                       protocol::payload_fingerprint(*r.exec.block), r.exec.requests});
-                 }),
-      shard_streams_(shards) {
+      sequencer_(shards, [this](const GlobalRecord& r) {
+        if (!is_filler_block(*r.exec.block)) --pending_real_;
+        if (recording()) {
+          merged_.push_back(chaos::ExecRecord{r.exec.seq, r.exec.ordinal,
+                                              protocol::payload_fingerprint(*r.exec.block),
+                                              r.exec.requests});
+        }
+      }) {
   util::expects(schemes.size() == shards, "ShardedSimNode: one threshold scheme per shard");
   for (std::uint32_t s = 0; s < shards; ++s) {
     const auto spec = spec_for(s);
@@ -128,39 +96,31 @@ ShardedSimNode::ShardedSimNode(
     util::expects(phys_id < n, "ShardedSimNode: phys id out of range");
     // Shard s rotates ids by s: this machine hosts core (phys - s) mod n.
     const auto core_id = static_cast<proto::ReplicaId>((phys_id + n - s % n) % n);
-    auto env = std::make_unique<ShardSimEnv>(net, metrics, n, s, shards);
-    env->set_phys_id(phys_id);
-    auto core = protocol::make_protocol(spec, schemes[s], core_id);
-    env->attach(*core);
-    env->set_execute_observer([this, s](const protocol::Execute& e) {
-      shard_streams_[s].push_back(chaos::ExecRecord{
-          e.seq, e.ordinal, protocol::payload_fingerprint(*e.block), e.requests});
+    cores_[s] = protocol::make_protocol(spec, schemes[s], core_id);
+    envs_[s] = std::make_unique<protocol::SimEnv>(net, metrics, n, s, shards);
+    envs_[s]->attach(*cores_[s]);
+    envs_[s]->set_node_id(phys_id);
+    envs_[s]->set_execute_observer([this, s](const protocol::Execute& e) {
       // Count BEFORE push (the push may merge, and decrement, synchronously)
       // and roll back if the record was a duplicate re-emission.
       const bool real = !is_filler_block(*e.block);
       if (real) ++pending_real_;
       if (!sequencer_.push(s, e) && real) --pending_real_;
     });
-    envs_.push_back(std::move(env));
-    cores_.push_back(std::move(core));
   }
 }
 
 void ShardedSimNode::start() {
-  for (auto& env : envs_) env->start();
-  if (shards_ > 1 && stall_tick_interval_ > 0) {
-    stall_event_ = net_.sim().schedule_after(stall_tick_interval_, [this] { stall_tick(); });
+  SimHost::start();
+  if (shards_ > 1) {
+    stall_event_ = net_.sim().schedule_after(kStallTickInterval, [this] { stall_tick(); });
   }
 }
 
-void ShardedSimNode::on_message(sim::NodeId from, const sim::PayloadPtr& msg) {
-  if (auto envelope = std::dynamic_pointer_cast<const ShardEnvelope>(msg)) {
-    // Unknown shard ids are dropped frame-level, mirroring the SocketEnv
-    // unknown_instance stat: a mixed-S cluster must not lose whole links.
-    if (envelope->shard < shards_) envs_[envelope->shard]->deliver(from, envelope->inner);
-    return;
-  }
-  envs_[0]->deliver(from, msg);
+std::vector<std::vector<chaos::ExecRecord>> ShardedSimNode::shard_streams() const {
+  std::vector<std::vector<chaos::ExecRecord>> streams;
+  for (std::uint32_t s = 0; s < shards_; ++s) streams.push_back(chaos::execute_stream(trace(s)));
+  return streams;
 }
 
 void ShardedSimNode::inject_local_request(std::uint32_t shard, proto::Request req) {
@@ -178,18 +138,18 @@ void ShardedSimNode::stall_tick() {
   // backlog never triggers injection — it stays buffered until real
   // traffic resumes, so an idle cluster quiesces.
   if (sequencer_.emitted() == last_emitted_ && pending_real_ > 0) {
-    const auto s = sequencer_.cursor_shard();
     proto::Request req;
     req.client_id = kFillerClientBase + phys_;
     req.seq = noop_seq_++;
     req.payload_size = 1;
     req.submitted_at = net_.sim().now();
-    envs_[s]->inject_request(static_cast<sim::NodeId>(kFillerClientBase + phys_),
-                             std::make_shared<proto::ClientRequestMsg>(std::move(req)));
+    envs_[sequencer_.cursor_shard()]->inject_request(
+        static_cast<sim::NodeId>(kFillerClientBase + phys_),
+        std::make_shared<proto::ClientRequestMsg>(std::move(req)));
     ++noops_injected_;
   }
   last_emitted_ = sequencer_.emitted();
-  stall_event_ = net_.sim().schedule_after(stall_tick_interval_, [this] { stall_tick(); });
+  stall_event_ = net_.sim().schedule_after(kStallTickInterval, [this] { stall_tick(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -199,77 +159,40 @@ void ShardedSimNode::stall_tick() {
 ShardedSimClient::ShardedSimClient(sim::Network& net, core::ProtocolMetrics& metrics,
                                    const core::ClientConfig& cfg, sim::NodeId target,
                                    std::uint32_t replica_count, sim::NodeId avoid,
-                                   std::uint32_t shards, std::uint64_t seed) {
-  util::expects(shards >= 1 && shards <= kMaxShards, "ShardedSimClient: bad shard count");
-
-  // Hash-partition the group's request index space across shards with the
-  // same shard_of the TCP driver uses; rates use a sampled horizon, counts
-  // are split exactly.
-  constexpr std::uint64_t kHorizon = 4096;
-  std::vector<std::uint64_t> horizon_counts(shards, 0);
-  for (std::uint64_t i = 0; i < kHorizon; ++i) ++horizon_counts[shard_of(seed, i, shards)];
-  std::vector<std::uint32_t> backlog(shards, 0);
-  for (std::uint64_t i = 0; i < cfg.initial_backlog; ++i) {
-    ++backlog[shard_of(seed, i, shards)];
-  }
-  std::vector<std::uint64_t> totals(shards, 0);
-  for (std::uint64_t i = 0; i < cfg.total_requests; ++i) {
-    ++totals[shard_of(seed, i, shards)];
-  }
-
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const double share =
-        static_cast<double>(horizon_counts[s]) / static_cast<double>(kHorizon);
-    core::ClientConfig sub_cfg = cfg;
-    sub_cfg.request_rate = cfg.request_rate * share;
-    sub_cfg.initial_backlog = backlog[s];
-    sub_cfg.total_requests = totals[s];
-    if (cfg.closed_loop_window > 0) {
-      // Per-shard in-flight window: floor of the fair share, at least 1.
-      sub_cfg.closed_loop_window = std::max(1u, cfg.closed_loop_window / shards);
-    }
-    auto env = std::make_unique<ShardSimEnv>(net, metrics, replica_count, s, shards);
-    auto sub = std::make_unique<core::LeopardClient>(sub_cfg, target, replica_count, avoid,
-                                                     seed + 7919ull * s);
-    env->attach(*sub);
-    envs_.push_back(std::move(env));
-    subs_.push_back(std::move(sub));
+                                   std::uint32_t shards, std::uint64_t seed)
+    : SimHost(shards) {
+  for (auto& slice : split_client(cfg, seed, shards)) {
+    const auto s = slice.shard;
+    auto sub = std::make_unique<core::LeopardClient>(slice.cfg, target, replica_count, avoid,
+                                                     slice.seed);
+    subs_.push_back(sub.get());
+    envs_[s] = std::make_unique<protocol::SimEnv>(net, metrics, replica_count, s, shards);
+    envs_[s]->attach(*sub);
+    cores_[s] = std::move(sub);
   }
 }
 
 void ShardedSimClient::set_self_id(sim::NodeId id) {
-  for (std::size_t s = 0; s < subs_.size(); ++s) {
-    subs_[s]->set_self_id(id);
-    envs_[s]->set_phys_id(id);
+  for (auto* sub : subs_) sub->set_self_id(id);
+  for (auto& env : envs_) {
+    if (env) env->set_node_id(id);
   }
-}
-
-void ShardedSimClient::start() {
-  for (auto& env : envs_) env->start();
-}
-
-void ShardedSimClient::on_message(sim::NodeId from, const sim::PayloadPtr& msg) {
-  if (auto envelope = std::dynamic_pointer_cast<const ShardEnvelope>(msg)) {
-    if (envelope->shard < envs_.size()) envs_[envelope->shard]->deliver(from, envelope->inner);
-    return;
-  }
-  envs_[0]->deliver(from, msg);
 }
 
 std::uint64_t ShardedSimClient::submitted() const {
   std::uint64_t sum = 0;
-  for (const auto& sub : subs_) sum += sub->submitted();
+  for (const auto* sub : subs_) sum += sub->submitted();
   return sum;
 }
 
 std::uint64_t ShardedSimClient::acked() const {
   std::uint64_t sum = 0;
-  for (const auto& sub : subs_) sum += sub->acked();
+  for (const auto* sub : subs_) sum += sub->acked();
   return sum;
 }
 
 bool ShardedSimClient::done() const {
-  for (const auto& sub : subs_) {
+  for (const auto* sub : subs_) {
     if (!sub->done()) return false;
   }
   return true;

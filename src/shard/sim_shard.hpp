@@ -2,22 +2,10 @@
 // node, multiplexed over the node's single metered NIC with one CPU lane
 // per core (the machine runs one instance per hardware core) — the
 // simulator twin of the SocketEnv instance registry and its per-instance
-// threads.
-//
-// Identity model. Shard s rotates the replica-id space by s: core-level
-// replica c of shard s lives on physical node (c + s) mod n, so every shard
-// sees a full n-replica cluster while each shard's LEADER (core id 1 mod n)
-// lands on a different machine — the whole point of sharding a
-// leader-CPU-bound protocol. Ids >= n (clients) pass through unrotated;
-// ids >= shard::kNoopClientBase are liveness no-op pseudo-clients whose
-// sends are dropped at this boundary (the simulator aborts on unknown
-// destinations, and the acks have no consumer).
-//
-// Transport mux. Shard 0 traffic travels as the bare inner payload —
-// byte-compatible with an unsharded cluster — while shard s > 0 rides a
-// ShardEnvelope (the sim analogue of the kShardFrame wire envelope, +4
-// bytes like its u32 instance id). The physical node demuxes envelopes to
-// the per-shard env; bare payloads go to shard 0.
+// threads. Every hosted core sits behind its own protocol::SimEnv, which
+// applies the shard's id rotation, envelope wrap and lane pinning (see
+// sim_env.hpp); the host only demuxes inbound envelopes to the right env.
+// An unsharded node is the one-shard case.
 //
 // Ordering. Each replica node feeds its S per-shard Execute streams through
 // a shard::Sequencer; the merged global stream (and its fold digest) is
@@ -29,106 +17,75 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "chaos/oracles.hpp"
 #include "core/client.hpp"
 #include "core/metrics.hpp"
 #include "protocol/factory.hpp"
-#include "protocol/protocol.hpp"
+#include "protocol/replay.hpp"
 #include "shard/sequencer.hpp"
 #include "sim/network.hpp"
 
 namespace leopard::shard {
 
-/// Sim twin of the kShardFrame envelope: tags an inner payload with the
-/// shard (instance) id it is addressed to. Bandwidth accounting delegates
-/// to the inner payload so Table-III component breakdowns stay honest.
-struct ShardEnvelope final : sim::Payload {
-  std::uint32_t shard = 0;
-  sim::PayloadPtr inner;
+/// Deterministic reference re-merge of per-shard Execute streams into the
+/// global stream — an independent reimplementation of the Sequencer rule
+/// (round-robin by sseq, slot closed by proof sseq > q, incremental
+/// emission at the parked cursor) used as the merge oracle: Sequencer
+/// output and this function must agree record-for-record.
+[[nodiscard]] std::vector<chaos::ExecRecord> reference_merge(
+    const std::vector<std::vector<chaos::ExecRecord>>& shard_streams);
 
-  ShardEnvelope(std::uint32_t s, sim::PayloadPtr p) : shard(s), inner(std::move(p)) {}
-  [[nodiscard]] std::size_t wire_size() const override { return inner->wire_size() + 4; }
-  [[nodiscard]] sim::Component component() const override { return inner->component(); }
-};
-
-/// protocol::Env adapter for ONE core (replica or client) of ONE shard,
-/// hosted on a physical sim node owned by ShardedSimNode/ShardedSimClient.
-/// Applies the id rotation both ways, wraps outbound payloads for shards
-/// > 0, drops no-op-client sends, and forwards Execute to the owner.
-class ShardSimEnv final : public protocol::Env {
+/// One physical sim machine hosting one core per shard, each behind its own
+/// SimEnv. Envelopes demux to their shard's env, bare payloads to shard 0's.
+class SimHost : public sim::Node {
  public:
-  ShardSimEnv(sim::Network& net, core::ProtocolMetrics& metrics, std::uint32_t n_replicas,
-              std::uint32_t shard, std::uint32_t shards);
+  // -- sim::Node -------------------------------------------------------------
+  void start() override;
+  void on_message(sim::NodeId from, const sim::PayloadPtr& msg) override;
 
-  void attach(protocol::Protocol& core) { core_ = &core; }
-  /// Physical node id sends originate from (assigned by Network::add_node).
-  void set_phys_id(sim::NodeId id) { phys_ = id; }
+  /// Records every hosted core's events and actions into its own Trace.
+  /// Call before the simulation starts.
+  void record();
+  /// The recorded trace of the shard-s core (requires record()).
+  [[nodiscard]] const protocol::Trace& trace(std::uint32_t shard) const;
 
-  using ExecuteObserver = std::function<void(const protocol::Execute&)>;
-  void set_execute_observer(ExecuteObserver obs) { execute_observer_ = std::move(obs); }
+ protected:
+  explicit SimHost(std::uint32_t shards);
+  [[nodiscard]] bool recording() const { return !traces_.empty(); }
 
-  /// Starts the attached core (owner calls once from sim::Node::start).
-  void start();
-  /// One inbound payload from physical node `phys_from`, already unwrapped.
-  void deliver(sim::NodeId phys_from, const sim::PayloadPtr& inner);
-  /// Direct client-request injection into the core (stall no-ops).
-  void inject_request(sim::NodeId from, std::shared_ptr<const proto::ClientRequestMsg> msg);
-
-  [[nodiscard]] std::uint32_t shard() const { return shard_; }
-
-  // -- protocol::Env ---------------------------------------------------------
-  [[nodiscard]] sim::SimTime now() const override { return net_.sim().now(); }
-  [[nodiscard]] const sim::CostModel& costs() const override { return net_.costs(); }
-  void apply(protocol::Action action) override;
+  /// Envs and cores by shard; a client host leaves an idle shard's null.
+  std::vector<std::unique_ptr<protocol::SimEnv>> envs_;
+  std::vector<std::unique_ptr<protocol::Protocol>> cores_;
 
  private:
-  void fire_timer(protocol::TimerToken token);
-  [[nodiscard]] sim::NodeId rotate_out(sim::NodeId core_id) const;
-  [[nodiscard]] sim::NodeId rotate_in(sim::NodeId phys_id) const;
-  [[nodiscard]] sim::PayloadPtr wrap(sim::PayloadPtr payload) const;
-
-  sim::Network& net_;
-  core::ProtocolMetrics& metrics_;
-  protocol::Protocol* core_ = nullptr;
-  sim::NodeId phys_ = 0;
-  std::uint32_t n_;
-  std::uint32_t shard_;
-  std::vector<sim::NodeId> replica_phys_ids_;  // broadcast target set
-  std::unordered_map<protocol::TimerToken, sim::EventHandle> timers_;
-  ExecuteObserver execute_observer_;
+  std::vector<protocol::Trace> traces_;  // by shard, once recording
 };
 
 /// One physical replica machine hosting core (phys - s) mod n of every
 /// shard s, plus the sequencer merging their commit streams.
-class ShardedSimNode final : public sim::Node {
+class ShardedSimNode final : public SimHost {
  public:
   /// `spec_for(shard)` builds the per-shard core spec (byzantine hooks for
   /// chaos live here); `schemes[shard]` is that shard's threshold scheme.
   ShardedSimNode(sim::Network& net, core::ProtocolMetrics& metrics,
                  const std::function<protocol::ProtocolSpec(std::uint32_t shard)>& spec_for,
                  const std::vector<crypto::ThresholdScheme>& schemes, std::uint32_t shards,
-                 sim::NodeId phys_id, sim::SimTime stall_tick);
+                 sim::NodeId phys_id);
 
-  // -- sim::Node -------------------------------------------------------------
   void start() override;
-  void on_message(sim::NodeId from, const sim::PayloadPtr& msg) override;
 
   /// Merged global Execute stream (chaos-oracle form: exec.seq/ordinal are
-  /// the global coordinates).
+  /// the global coordinates). Kept only while recording.
   [[nodiscard]] const std::vector<chaos::ExecRecord>& merged() const { return merged_; }
-  /// Shard-local Execute streams, for the merge oracle (recomputing the
-  /// global stream from these must reproduce `merged()` exactly).
-  [[nodiscard]] const std::vector<std::vector<chaos::ExecRecord>>& shard_streams() const {
-    return shard_streams_;
-  }
-  [[nodiscard]] const Sequencer& sequencer() const { return sequencer_; }
+  /// Shard-local Execute streams, read off the recorded traces, for the
+  /// merge oracle (recomputing the global stream from these must reproduce
+  /// `merged()` exactly).
+  [[nodiscard]] std::vector<std::vector<chaos::ExecRecord>> shard_streams() const;
   [[nodiscard]] std::uint64_t noops_injected() const { return noops_injected_; }
-  [[nodiscard]] sim::NodeId phys_id() const { return phys_; }
 
-  /// Typed access to the shard-s core (tests).
+  /// Typed access to the shard-s core.
   template <typename T>
   [[nodiscard]] T& core_as(std::uint32_t shard) const {
     return dynamic_cast<T&>(*cores_.at(shard));
@@ -146,12 +103,8 @@ class ShardedSimNode final : public sim::Node {
   sim::Network& net_;
   sim::NodeId phys_;
   std::uint32_t shards_;
-  sim::SimTime stall_tick_interval_;
-  std::vector<std::unique_ptr<ShardSimEnv>> envs_;
-  std::vector<std::unique_ptr<protocol::Protocol>> cores_;
   Sequencer sequencer_;
   std::vector<chaos::ExecRecord> merged_;
-  std::vector<std::vector<chaos::ExecRecord>> shard_streams_;
   sim::EventHandle stall_event_;
   std::uint64_t last_emitted_ = 0;
   std::uint64_t noops_injected_ = 0;
@@ -163,16 +116,13 @@ class ShardedSimNode final : public sim::Node {
   std::uint64_t pending_real_ = 0;
 };
 
-/// One client group split into S sub-clients sharing the group's node id:
-/// request index i of the group goes to shard shard_of(seed, i, S), so the
-/// offered load hash-partitions across shards exactly like the TCP driver.
-/// Acks demux by envelope shard, so per-shard seq spaces may overlap
-/// without protocol-level collision (per-core identity spaces are
-/// disjoint).
-class ShardedSimClient final : public sim::Node {
+/// One client group split into sub-clients (split_client) sharing the
+/// group's node id, so the offered load hash-partitions across shards
+/// exactly like the TCP client. Acks demux by envelope shard, so per-shard
+/// seq spaces may overlap without protocol-level collision.
+class ShardedSimClient final : public SimHost {
  public:
-  /// `cfg` describes the WHOLE group; rate/backlog/window/total split across
-  /// shards by the hash partition. `target` is the core-level replica the
+  /// `cfg` describes the WHOLE group. `target` is the core-level replica the
   /// group submits to (rotation spreads the physical destination per shard).
   ShardedSimClient(sim::Network& net, core::ProtocolMetrics& metrics,
                    const core::ClientConfig& cfg, sim::NodeId target,
@@ -183,17 +133,12 @@ class ShardedSimClient final : public sim::Node {
   /// sub-client stamps on its requests.
   void set_self_id(sim::NodeId id);
 
-  // -- sim::Node -------------------------------------------------------------
-  void start() override;
-  void on_message(sim::NodeId from, const sim::PayloadPtr& msg) override;
-
   [[nodiscard]] std::uint64_t submitted() const;
   [[nodiscard]] std::uint64_t acked() const;
   [[nodiscard]] bool done() const;
 
  private:
-  std::vector<std::unique_ptr<ShardSimEnv>> envs_;
-  std::vector<std::unique_ptr<core::LeopardClient>> subs_;
+  std::vector<core::LeopardClient*> subs_;  // the hosted cores, active shards only
 };
 
 }  // namespace leopard::shard

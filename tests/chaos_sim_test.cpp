@@ -25,74 +25,55 @@
 #include "baselines/pbft.hpp"
 #include "chaos/mutator.hpp"
 #include "chaos/oracles.hpp"
-#include "cluster_fixture.hpp"
+#include "harness/experiment.hpp"
 #include "protocol/factory.hpp"
 #include "protocol/replay.hpp"
-#include "shard/sim_cluster.hpp"
 
 using namespace leopard;
-using test::ClusterOptions;
-using test::LeopardCluster;
 
 namespace {
 
 std::uint64_t g_sweep_seed = 1;
 std::uint64_t g_traces = 200;  // mutated traces per protocol
 
-ClusterOptions leopard_opts() {
-  ClusterOptions o;
-  o.n = 4;
-  o.protocol.datablock_requests = 50;
-  o.protocol.bftblock_links = 2;
-  o.protocol.datablock_max_wait = 100 * sim::kMillisecond;
-  o.protocol.proposal_max_wait = 50 * sim::kMillisecond;
-  o.protocol.view_timeout = 30 * sim::kSecond;
-  o.client_rate_per_replica = 2000;
-  o.payload_size = 64;
+harness::SimClusterConfig leopard_opts() {
+  core::LeopardConfig protocol;
+  protocol.n = 4;
+  protocol.datablock_requests = 50;
+  protocol.bftblock_links = 2;
+  protocol.datablock_max_wait = 100 * sim::kMillisecond;
+  protocol.proposal_max_wait = 50 * sim::kMillisecond;
+  protocol.view_timeout = 30 * sim::kSecond;
+  protocol.payload_size = 64;
+  core::ClientConfig client;
+  client.request_rate = 2000;
+  client.payload_size = 64;
+  client.burst = 1;
+  harness::SimClusterConfig o;
+  o.spec.config = protocol;
+  o.net.propagation_delay = 100 * sim::kMicrosecond;
   o.seed = 21;
-  o.record_traces = true;
+  o.clients = harness::groups_per_replica(4, 1, client, o.seed + 100);
+  o.record = true;
   return o;
 }
 
-/// Minimal recording cluster for the baselines (cluster_fixture is
-/// Leopard-shaped); mirrors baselines_test's BaselineCluster plus recorders.
+/// A recorded baseline cluster: one client group offering `rate` req/s to
+/// the leader (replica 0), as in baselines_test.
 template <typename Config>
-struct RecordedBaseline {
-  sim::Simulator sim;
-  sim::Network net;
-  crypto::ThresholdScheme ts;
-  core::ProtocolMetrics metrics;
-  Config cfg;
-  std::vector<protocol::Trace> traces;
-  std::vector<protocol::SimReplica> handles;
-  protocol::SimClient client;
-
-  RecordedBaseline(Config c, double rate)
-      : net(sim, make_net()), ts(c.n, c.quorum(), 11), cfg(c), traces(c.n) {
-    for (std::uint32_t id = 0; id < cfg.n; ++id) {
-      protocol::ProtocolSpec spec;
-      spec.config = cfg;
-      handles.push_back(protocol::make_sim_replica(net, metrics, spec, ts, id));
-      handles.back().env->set_recorder(&traces[id]);
-    }
-    core::ClientConfig ccfg;
-    ccfg.request_rate = rate;
-    ccfg.payload_size = cfg.payload_size;
-    ccfg.initial_backlog = 2 * cfg.batch_size;
-    client = protocol::make_sim_client(net, metrics, ccfg, 0, cfg.n, cfg.n, 77);
-  }
-
-  static sim::NetworkConfig make_net() {
-    sim::NetworkConfig c;
-    c.propagation_delay = 100 * sim::kMicrosecond;
-    return c;
-  }
-
-  void run_for(double seconds) {
-    net.start_all();
-    sim.run_until(sim.now() + sim::from_seconds(seconds));
-  }
-};
+harness::SimClusterConfig baseline_opts(const Config& cfg, double rate) {
+  core::ClientConfig client;
+  client.request_rate = rate;
+  client.payload_size = cfg.payload_size;
+  client.initial_backlog = 2 * cfg.batch_size;
+  harness::SimClusterConfig o;
+  o.spec.config = cfg;
+  o.net.propagation_delay = 100 * sim::kMicrosecond;
+  o.seed = 11;
+  o.clients = {harness::ClientGroup{client, /*target=*/0, /*avoid: none*/ cfg.n, 77}};
+  o.record = true;
+  return o;
+}
 
 /// One full mutation sweep against a recorded base trace. `make_fresh` builds
 /// a core configured exactly like the recorded replica; `honest` is the
@@ -147,7 +128,7 @@ void run_sweep(const char* label, const protocol::Trace& base,
 // --- oracle self-tests: seeded violations MUST be caught ---------------------
 
 TEST(ChaosOracles, PassOnHonestCluster) {
-  LeopardCluster cluster(leopard_opts());
+  harness::SimCluster cluster(leopard_opts());
   cluster.run_for(1.0);
   ASSERT_GT(cluster.metrics().executed_requests, 100u);
 
@@ -175,7 +156,7 @@ TEST(ChaosOracles, CatchForkedCommit) {
   // Known-bad input: two replicas execute the same coordinate with different
   // blocks. The no-conflict oracle must flag it — this is the self-test that
   // keeps the sweep's green light meaningful.
-  LeopardCluster cluster(leopard_opts());
+  harness::SimCluster cluster(leopard_opts());
   cluster.run_for(1.0);
   auto a = chaos::execute_stream(cluster.trace(0));
   ASSERT_GT(a.size(), 3u);
@@ -193,7 +174,7 @@ TEST(ChaosOracles, CatchForkedCommit) {
 }
 
 TEST(ChaosOracles, CatchNonMonotonicCommit) {
-  LeopardCluster cluster(leopard_opts());
+  harness::SimCluster cluster(leopard_opts());
   cluster.run_for(1.0);
   auto stream = chaos::execute_stream(cluster.trace(0));
   ASSERT_GT(stream.size(), 3u);
@@ -211,7 +192,7 @@ TEST(ChaosOracles, CatchNonMonotonicCommit) {
 }
 
 TEST(ChaosOracles, CatchConflictingConfirmedLogs) {
-  LeopardCluster cluster(leopard_opts());
+  harness::SimCluster cluster(leopard_opts());
   cluster.run_for(1.0);
   std::map<std::uint64_t, crypto::Digest> log_a;
   for (const auto& [sn, digest] : cluster.replica(0).confirmed_log()) log_a.emplace(sn, digest);
@@ -227,15 +208,13 @@ TEST(ChaosOracles, CatchConflictingConfirmedLogs) {
 // --- mutation sweeps: >= g_traces mutated replays per protocol ---------------
 
 TEST(ChaosSweep, LeopardSurvivesMutatedTraces) {
-  LeopardCluster cluster(leopard_opts());
+  harness::SimCluster cluster(leopard_opts());
   cluster.run_for(1.0);
   ASSERT_GT(cluster.metrics().executed_requests, 100u);
 
   const auto& base = cluster.trace(0);
   run_sweep("leopard", base, chaos::execute_stream(base), 4, [&] {
-    protocol::ProtocolSpec spec;
-    spec.config = cluster.protocol_config();
-    return protocol::make_protocol(spec, cluster.scheme(), 0);
+    return protocol::make_protocol(cluster.config().spec, cluster.scheme(), 0);
   });
 }
 
@@ -243,15 +222,13 @@ TEST(ChaosSweep, HotStuffSurvivesMutatedTraces) {
   baselines::HotStuffConfig cfg;
   cfg.n = 4;
   cfg.batch_size = 100;
-  RecordedBaseline<baselines::HotStuffConfig> cluster(cfg, 20000);
+  harness::SimCluster cluster(baseline_opts(cfg, 20000));
   cluster.run_for(1.0);
-  ASSERT_GT(cluster.metrics.executed_requests, 1000u);
+  ASSERT_GT(cluster.metrics().executed_requests, 1000u);
 
-  const auto& base = cluster.traces[0];
+  const auto& base = cluster.trace(0);
   run_sweep("hotstuff", base, chaos::execute_stream(base), cfg.n, [&] {
-    protocol::ProtocolSpec spec;
-    spec.config = cfg;
-    return protocol::make_protocol(spec, cluster.ts, 0);
+    return protocol::make_protocol(cluster.config().spec, cluster.scheme(), 0);
   });
 }
 
@@ -259,15 +236,13 @@ TEST(ChaosSweep, PbftSurvivesMutatedTraces) {
   baselines::PbftConfig cfg;
   cfg.n = 4;
   cfg.batch_size = 100;
-  RecordedBaseline<baselines::PbftConfig> cluster(cfg, 20000);
+  harness::SimCluster cluster(baseline_opts(cfg, 20000));
   cluster.run_for(1.0);
-  ASSERT_GT(cluster.metrics.executed_requests, 1000u);
+  ASSERT_GT(cluster.metrics().executed_requests, 1000u);
 
-  const auto& base = cluster.traces[0];
+  const auto& base = cluster.trace(0);
   run_sweep("pbft", base, chaos::execute_stream(base), cfg.n, [&] {
-    protocol::ProtocolSpec spec;
-    spec.config = cfg;
-    return protocol::make_protocol(spec, cluster.ts, 0);
+    return protocol::make_protocol(cluster.config().spec, cluster.scheme(), 0);
   });
 }
 
@@ -322,15 +297,17 @@ TEST(ChaosSharded, MergeOracleHoldsWithByzantineNodeInEveryShard) {
   // keeps committing and the cross-shard merge must stay deterministic on
   // every replica; the attacks here are execution-honest, so the oracle can
   // include the byzantine machine rather than just the honest set.
-  shard::ShardedClusterConfig cfg;
-  cfg.n = 4;
+  harness::ExperimentConfig ec;
+  ec.n = 4;
+  ec.datablock_requests = 100;
+  ec.bftblock_links = 4;
+  ec.offered_load = 20000;
+  ec.proposal_max_wait = 20 * sim::kMillisecond;
+  ec.seed = 29;
+  auto cfg = harness::experiment_cluster(ec);
+  std::get<core::LeopardConfig>(cfg.spec.config).datablock_max_wait = 50 * sim::kMillisecond;
   cfg.shards = 2;
-  cfg.datablock_requests = 100;
-  cfg.bftblock_links = 4;
-  cfg.offered_load = 20000;
-  cfg.proposal_max_wait = 20 * sim::kMillisecond;
-  cfg.datablock_max_wait = 50 * sim::kMillisecond;
-  cfg.seed = 29;
+  cfg.record = true;
   cfg.mutate_spec = [](protocol::ProtocolSpec& spec, sim::NodeId phys, std::uint32_t shard) {
     if (phys != 3) return;
     if (shard == 0) {
@@ -339,13 +316,14 @@ TEST(ChaosSharded, MergeOracleHoldsWithByzantineNodeInEveryShard) {
       spec.byzantine.withhold_votes = true;
     }
   };
-  shard::ShardedSimCluster cluster(cfg);
+  harness::SimCluster cluster(std::move(cfg));
   cluster.run_until(6 * sim::kSecond);
 
   // Both wounded instances keep committing on the honest replicas.
   for (std::uint32_t i = 0; i < 3; ++i) {
-    for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-      EXPECT_FALSE(cluster.node(i).shard_streams()[s].empty())
+    const auto streams = cluster.node(i).shard_streams();
+    for (std::uint32_t s = 0; s < streams.size(); ++s) {
+      EXPECT_FALSE(streams[s].empty())
           << "replica " << i << " shard " << s << " committed nothing";
     }
     EXPECT_FALSE(cluster.node(i).merged().empty()) << "replica " << i;

@@ -6,43 +6,58 @@
 #include "cluster_fixture.hpp"
 
 using namespace leopard;
-using test::ClusterOptions;
-using test::LeopardCluster;
+using test::logs_consistent;
+using test::min_executed;
 
 namespace {
-ClusterOptions small_opts() {
-  ClusterOptions o;
-  o.n = 4;
-  o.protocol.datablock_requests = 50;
-  o.protocol.bftblock_links = 2;
-  o.protocol.datablock_max_wait = 100 * sim::kMillisecond;
-  o.protocol.proposal_max_wait = 50 * sim::kMillisecond;
-  o.protocol.view_timeout = 2 * sim::kSecond;
-  o.client_rate_per_replica = 3000;
+/// n replicas with light batches, one client group per non-leader replica
+/// offering `rate` req/s.
+harness::SimClusterConfig small_opts(std::uint32_t n = 4, double rate = 3000) {
+  core::LeopardConfig protocol;
+  protocol.n = n;
+  protocol.datablock_requests = 50;
+  protocol.bftblock_links = 2;
+  protocol.datablock_max_wait = 100 * sim::kMillisecond;
+  protocol.proposal_max_wait = 50 * sim::kMillisecond;
+  protocol.view_timeout = 2 * sim::kSecond;
+  protocol.payload_size = 64;
+  core::ClientConfig client;
+  client.request_rate = rate;
+  client.payload_size = 64;
+  client.burst = 1;
+  harness::SimClusterConfig o;
+  o.spec.config = protocol;
+  o.net.propagation_delay = 100 * sim::kMicrosecond;  // tight for fast tests
+  o.seed = 7;
+  o.clients = harness::groups_per_replica(n, 1, client, o.seed + 100);
   return o;
+}
+
+core::LeopardConfig& protocol_of(harness::SimClusterConfig& o) {
+  return std::get<core::LeopardConfig>(o.spec.config);
 }
 }  // namespace
 
 TEST(LeopardNormalCase, ConfirmsAndExecutesRequests) {
-  LeopardCluster cluster(small_opts());
+  harness::SimCluster cluster(small_opts());
   cluster.run_for(3.0);
 
   EXPECT_GT(cluster.metrics().executed_requests, 1000u);
   EXPECT_GT(cluster.metrics().acked_requests, 1000u);
   EXPECT_FALSE(cluster.metrics().safety_violation);
-  EXPECT_GE(cluster.min_executed(), 1u);
+  EXPECT_GE(min_executed(cluster), 1u);
 }
 
 TEST(LeopardNormalCase, HonestLogsAgree) {
-  LeopardCluster cluster(small_opts());
+  harness::SimCluster cluster(small_opts());
   cluster.run_for(3.0);
-  EXPECT_TRUE(cluster.logs_consistent());
+  EXPECT_TRUE(logs_consistent(cluster));
 
   // All replicas execute the same prefix: state digests match at equal
   // executed heights.
-  const auto lo = cluster.min_executed();
+  const auto lo = min_executed(cluster);
   ASSERT_GT(lo, 0u);
-  for (std::uint32_t a = 0; a + 1 < cluster.replica_count(); ++a) {
+  for (std::uint32_t a = 0; a + 1 < cluster.n(); ++a) {
     if (cluster.replica(a).executed_through() == cluster.replica(a + 1).executed_through()) {
       EXPECT_EQ(cluster.replica(a).state_digest().hex(),
                 cluster.replica(a + 1).state_digest().hex());
@@ -51,7 +66,7 @@ TEST(LeopardNormalCase, HonestLogsAgree) {
 }
 
 TEST(LeopardNormalCase, LatencyIsMeasured) {
-  LeopardCluster cluster(small_opts());
+  harness::SimCluster cluster(small_opts());
   cluster.run_for(3.0);
   EXPECT_GT(cluster.metrics().mean_latency_sec(), 0.0);
   EXPECT_LT(cluster.metrics().mean_latency_sec(), 3.0);
@@ -59,16 +74,19 @@ TEST(LeopardNormalCase, LatencyIsMeasured) {
 
 TEST(LeopardNormalCase, RealPayloadsAlsoConfirm) {
   auto opts = small_opts();
-  opts.real_payload = true;
-  opts.payload_size = 128;
-  LeopardCluster cluster(opts);
+  protocol_of(opts).payload_size = 128;
+  for (auto& g : opts.clients) {
+    g.cfg.real_payload = true;
+    g.cfg.payload_size = 128;
+  }
+  harness::SimCluster cluster(opts);
   cluster.run_for(2.0);
   EXPECT_GT(cluster.metrics().executed_requests, 500u);
-  EXPECT_TRUE(cluster.logs_consistent());
+  EXPECT_TRUE(logs_consistent(cluster));
 }
 
 TEST(LeopardNormalCase, NoRetrievalWhenAllHonest) {
-  LeopardCluster cluster(small_opts());
+  harness::SimCluster cluster(small_opts());
   cluster.run_for(3.0);
   EXPECT_EQ(cluster.metrics().queries_sent, 0u);
   EXPECT_EQ(cluster.metrics().datablocks_recovered, 0u);
@@ -76,8 +94,8 @@ TEST(LeopardNormalCase, NoRetrievalWhenAllHonest) {
 
 TEST(LeopardNormalCase, CheckpointAdvancesWatermark) {
   auto opts = small_opts();
-  opts.protocol.max_parallel_instances = 8;  // checkpoint every 4 blocks
-  LeopardCluster cluster(opts);
+  protocol_of(opts).max_parallel_instances = 8;  // checkpoint every 4 blocks
+  harness::SimCluster cluster(opts);
   cluster.run_for(4.0);
   EXPECT_GT(cluster.replica(0).low_watermark(), 0u);
   // Garbage collection keeps the datablock pool bounded.
@@ -85,9 +103,9 @@ TEST(LeopardNormalCase, CheckpointAdvancesWatermark) {
 }
 
 TEST(LeopardNormalCase, ViewStaysStableUnderHonestLeader) {
-  LeopardCluster cluster(small_opts());
+  harness::SimCluster cluster(small_opts());
   cluster.run_for(4.0);
-  for (std::uint32_t id = 0; id < cluster.replica_count(); ++id) {
+  for (std::uint32_t id = 0; id < cluster.n(); ++id) {
     EXPECT_EQ(cluster.replica(id).view(), 1u) << "replica " << id;
   }
   EXPECT_EQ(cluster.metrics().view_changes_completed, 0u);
@@ -98,14 +116,15 @@ TEST(LeopardRetrieval, SelectiveAttackTriggersRecovery) {
   // Replica 3 sends its datablocks only to the leader and one other replica
   // (s = 3 recipients incl. maker is not counted): replicas outside the set
   // must retrieve before voting.
-  opts.byzantine.resize(4);
-  opts.byzantine[3].selective_recipients = 2;
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[3].selective_recipients = 2;
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(4.0);
 
   EXPECT_GT(cluster.metrics().queries_sent, 0u);
   EXPECT_GT(cluster.metrics().datablocks_recovered, 0u);
-  EXPECT_TRUE(cluster.logs_consistent({3}));
+  EXPECT_TRUE(logs_consistent(cluster, {3}));
   // Liveness: confirmations keep happening despite the attack.
   EXPECT_GT(cluster.metrics().executed_requests, 500u);
   EXPECT_FALSE(cluster.metrics().safety_violation);
@@ -113,25 +132,27 @@ TEST(LeopardRetrieval, SelectiveAttackTriggersRecovery) {
 
 TEST(LeopardRetrieval, RecoveredDatablocksMatchByDigest) {
   auto opts = small_opts();
-  opts.real_payload = true;  // exercise erasure coding on real bytes
-  opts.byzantine.resize(4);
-  opts.byzantine[3].selective_recipients = 2;
-  LeopardCluster cluster(opts);
+  for (auto& g : opts.clients) g.cfg.real_payload = true;  // erasure-code real bytes
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[3].selective_recipients = 2;
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(4.0);
 
   EXPECT_GT(cluster.metrics().datablocks_recovered, 0u);
   // If a recovered datablock failed digest verification the replica would
   // never vote and liveness would stall; execution advancing proves recovery
   // produced byte-exact datablocks.
-  EXPECT_GE(cluster.min_executed({3}), 1u);
+  EXPECT_GE(min_executed(cluster, {3}), 1u);
 }
 
 TEST(LeopardRetrieval, IgnoringQueriesDoesNotBlockRecovery) {
   auto opts = small_opts();
-  opts.byzantine.resize(4);
-  opts.byzantine[3].selective_recipients = 2;
-  opts.byzantine[3].ignore_queries = true;  // attacker also refuses to help
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[3].selective_recipients = 2;
+  byz[3].ignore_queries = true;  // attacker also refuses to help
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(4.0);
   // f+1 = 2 honest holders still answer; recovery succeeds.
   EXPECT_GT(cluster.metrics().datablocks_recovered, 0u);
@@ -140,10 +161,11 @@ TEST(LeopardRetrieval, IgnoringQueriesDoesNotBlockRecovery) {
 
 TEST(LeopardViewChange, SilentLeaderIsReplaced) {
   auto opts = small_opts();
-  opts.byzantine.resize(4);
-  opts.byzantine[1].crash_at = sim::from_seconds(1.0);  // leader of view 1
-  opts.client_resubmit_timeout = 2 * sim::kSecond;
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[1].crash_at = sim::from_seconds(1.0);  // leader of view 1
+  for (auto& g : opts.clients) g.cfg.resubmit_timeout = 2 * sim::kSecond;
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(10.0);
 
   // All honest replicas moved past view 1.
@@ -158,24 +180,26 @@ TEST(LeopardViewChange, SilentLeaderIsReplaced) {
 
 TEST(LeopardViewChange, LivenessRestoredAfterViewChange) {
   auto opts = small_opts();
-  opts.byzantine.resize(4);
-  opts.byzantine[1].crash_at = sim::from_seconds(1.0);
-  opts.client_resubmit_timeout = 2 * sim::kSecond;
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[1].crash_at = sim::from_seconds(1.0);
+  for (auto& g : opts.clients) g.cfg.resubmit_timeout = 2 * sim::kSecond;
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(6.0);
   const auto executed_mid = cluster.metrics().executed_requests;
   cluster.run_for(6.0);
   // New-view leader confirms fresh requests: counter keeps growing.
   EXPECT_GT(cluster.metrics().executed_requests, executed_mid);
-  EXPECT_TRUE(cluster.logs_consistent({1}));
+  EXPECT_TRUE(logs_consistent(cluster, {1}));
 }
 
 TEST(LeopardViewChange, ConfirmedPrefixSurvivesViewChange) {
   auto opts = small_opts();
-  opts.byzantine.resize(4);
-  opts.byzantine[1].crash_at = sim::from_seconds(2.0);  // crash after progress
-  opts.client_resubmit_timeout = 2 * sim::kSecond;
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[1].crash_at = sim::from_seconds(2.0);  // crash after progress
+  for (auto& g : opts.clients) g.cfg.resubmit_timeout = 2 * sim::kSecond;
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(2.0);
   const auto log_before = cluster.replica(0).confirmed_log();
   cluster.run_for(10.0);
@@ -195,36 +219,39 @@ TEST(LeopardViewChange, ConfirmedPrefixSurvivesViewChange) {
 
 TEST(LeopardSafety, EquivocatingLeaderCannotSplitTheLog) {
   auto opts = small_opts();
-  opts.byzantine.resize(4);
-  opts.byzantine[1].equivocate = true;  // leader proposes twins
-  opts.protocol.view_timeout = 30 * sim::kSecond;  // keep view 1 active
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[1].equivocate = true;  // leader proposes twins
+  protocol_of(opts).view_timeout = 30 * sim::kSecond;  // keep view 1 active
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(5.0);
   // At most one twin per sn can gather a quorum: logs never diverge.
-  EXPECT_TRUE(cluster.logs_consistent({1}));
+  EXPECT_TRUE(logs_consistent(cluster, {1}));
   EXPECT_FALSE(cluster.metrics().safety_violation);
 }
 
 TEST(LeopardFaults, WithholdingVotesBelowThresholdIsHarmless) {
   auto opts = small_opts();
-  opts.byzantine.resize(4);
-  opts.byzantine[3].withhold_votes = true;  // exactly f = 1 silent voter
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[3].withhold_votes = true;  // exactly f = 1 silent voter
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(3.0);
   EXPECT_GT(cluster.metrics().executed_requests, 500u);
-  EXPECT_TRUE(cluster.logs_consistent({3}));
+  EXPECT_TRUE(logs_consistent(cluster, {3}));
 }
 
 TEST(LeopardFaults, DroppedForeignDatablocksStillConfirm) {
   auto opts = small_opts();
-  opts.byzantine.resize(4);
-  opts.byzantine[3].drop_foreign_datablocks = true;
-  opts.byzantine[3].vote_blindly = true;  // stays covert in agreement
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[3].drop_foreign_datablocks = true;
+  byz[3].vote_blindly = true;  // stays covert in agreement
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(3.0);
   // 2f+1 = 3 honest replicas still hold every datablock: ready quorums form.
   EXPECT_GT(cluster.metrics().executed_requests, 500u);
-  EXPECT_TRUE(cluster.logs_consistent({3}));
+  EXPECT_TRUE(logs_consistent(cluster, {3}));
 }
 
 TEST(LeopardLiveness, ClientResubmissionSurvivesCensorship) {
@@ -232,10 +259,11 @@ TEST(LeopardLiveness, ClientResubmissionSurvivesCensorship) {
   // Replica 2 accepts requests but never disseminates them (crash of the
   // datablock plane only is approximated by a full crash; clients attached
   // to it must re-submit elsewhere).
-  opts.byzantine.resize(4);
-  opts.byzantine[2].crash_at = sim::from_seconds(0.5);
-  opts.client_resubmit_timeout = 1 * sim::kSecond;
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[2].crash_at = sim::from_seconds(0.5);
+  for (auto& g : opts.clients) g.cfg.resubmit_timeout = 1 * sim::kSecond;
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(8.0);
 
   // The client originally attached to replica 2 eventually gets acks through
@@ -253,13 +281,11 @@ TEST(LeopardLiveness, ClientResubmissionSurvivesCensorship) {
 class LeopardScaleSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(LeopardScaleSweep, SafetyAndLivenessAtScale) {
-  auto opts = small_opts();
-  opts.n = GetParam();
-  opts.client_rate_per_replica = 6000.0 / (opts.n - 1);
-  LeopardCluster cluster(opts);
+  const auto n = GetParam();
+  harness::SimCluster cluster(small_opts(n, 6000.0 / (n - 1)));
   cluster.run_for(4.0);
-  EXPECT_GT(cluster.metrics().executed_requests, 200u) << "n=" << opts.n;
-  EXPECT_TRUE(cluster.logs_consistent()) << "n=" << opts.n;
+  EXPECT_GT(cluster.metrics().executed_requests, 200u) << "n=" << n;
+  EXPECT_TRUE(logs_consistent(cluster)) << "n=" << n;
   EXPECT_FALSE(cluster.metrics().safety_violation);
 }
 

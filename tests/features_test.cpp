@@ -6,21 +6,30 @@
 #include "cluster_fixture.hpp"
 
 using namespace leopard;
-using test::ClusterOptions;
-using test::LeopardCluster;
+using test::logs_consistent;
 
 namespace {
-ClusterOptions feature_opts() {
-  ClusterOptions o;
-  o.n = 4;
-  o.protocol.datablock_requests = 50;
-  o.protocol.bftblock_links = 2;
-  o.protocol.datablock_max_wait = 100 * sim::kMillisecond;
-  o.protocol.proposal_max_wait = 50 * sim::kMillisecond;
-  o.protocol.view_timeout = 30 * sim::kSecond;
-  o.client_rate_per_replica = 2000;
-  o.payload_size = 64;
-  o.real_payload = true;
+/// Four replicas with light batches; client groups at `rate` req/s each
+/// submitting real 64-byte payloads.
+harness::SimClusterConfig feature_opts(double rate = 2000) {
+  core::LeopardConfig protocol;
+  protocol.n = 4;
+  protocol.datablock_requests = 50;
+  protocol.bftblock_links = 2;
+  protocol.datablock_max_wait = 100 * sim::kMillisecond;
+  protocol.proposal_max_wait = 50 * sim::kMillisecond;
+  protocol.view_timeout = 30 * sim::kSecond;
+  protocol.payload_size = 64;
+  core::ClientConfig client;
+  client.request_rate = rate;
+  client.payload_size = 64;
+  client.real_payload = true;
+  client.burst = 1;
+  harness::SimClusterConfig o;
+  o.spec.config = protocol;
+  o.net.propagation_delay = 100 * sim::kMicrosecond;  // tight for fast tests
+  o.seed = 7;
+  o.clients = harness::groups_per_replica(4, 1, client, o.seed + 100);
   return o;
 }
 }  // namespace
@@ -29,7 +38,7 @@ ClusterOptions feature_opts() {
 
 TEST(RequestValidator, InvalidRequestsAreFilteredAtIngress) {
   auto opts = feature_opts();
-  LeopardCluster cluster(opts);
+  harness::SimCluster cluster(opts);
   // Reject every request whose first payload byte is below 0x80 (~half).
   for (std::uint32_t id = 0; id < 4; ++id) {
     cluster.replica(id).set_request_validator(
@@ -48,12 +57,12 @@ TEST(RequestValidator, InvalidRequestsAreFilteredAtIngress) {
 
   EXPECT_GT(executed_valid, 500u);
   EXPECT_EQ(executed_invalid, 0u);  // nothing invalid ever commits
-  EXPECT_TRUE(cluster.logs_consistent());
+  EXPECT_TRUE(logs_consistent(cluster));
 }
 
 TEST(RequestValidator, AcceptAllValidatorChangesNothing) {
   auto opts = feature_opts();
-  LeopardCluster cluster(opts);
+  harness::SimCluster cluster(opts);
   for (std::uint32_t id = 0; id < 4; ++id) {
     cluster.replica(id).set_request_validator([](const proto::Request&) { return true; });
   }
@@ -116,12 +125,13 @@ TEST(MuAssignment, DifferentRequestsSpread) {
 TEST(MultiSubmit, CopiesReduceLatency) {
   // Two clusters differing only in submit_copies.
   auto measure = [](std::uint32_t copies) {
-    ClusterOptions opts = feature_opts();
-    opts.protocol.datablock_max_wait = 400 * sim::kMillisecond;
-    opts.client_rate_per_replica = 300;
-    opts.real_payload = false;
-    opts.client_submit_copies = copies;
-    LeopardCluster cluster(opts);
+    auto opts = feature_opts(300);
+    std::get<core::LeopardConfig>(opts.spec.config).datablock_max_wait = 400 * sim::kMillisecond;
+    for (auto& g : opts.clients) {
+      g.cfg.real_payload = false;
+      g.cfg.submit_copies = copies;
+    }
+    harness::SimCluster cluster(opts);
     cluster.run_for(5.0);
     EXPECT_GT(cluster.metrics().acked_requests, 100u) << "copies=" << copies;
     return cluster.metrics().mean_latency_sec();
@@ -134,10 +144,9 @@ TEST(MultiSubmit, CopiesReduceLatency) {
 }
 
 TEST(MultiSubmit, DuplicatesAckOnce) {
-  ClusterOptions opts = feature_opts();
-  opts.client_rate_per_replica = 500;
-  opts.client_submit_copies = 3;
-  LeopardCluster cluster(opts);
+  auto opts = feature_opts(500);
+  for (auto& g : opts.clients) g.cfg.submit_copies = 3;
+  harness::SimCluster cluster(opts);
   cluster.run_for(3.0);
   // Executed counts duplicates (each copy commits via its own datablock) but
   // every request is acknowledged exactly once at the client.

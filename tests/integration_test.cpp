@@ -8,21 +8,35 @@
 #include "cluster_fixture.hpp"
 
 using namespace leopard;
-using test::ClusterOptions;
-using test::LeopardCluster;
+using test::logs_consistent;
 
 namespace {
-ClusterOptions base_opts(std::uint32_t n) {
-  ClusterOptions o;
-  o.n = n;
-  o.protocol.datablock_requests = 50;
-  o.protocol.bftblock_links = 2;
-  o.protocol.datablock_max_wait = 100 * sim::kMillisecond;
-  o.protocol.proposal_max_wait = 50 * sim::kMillisecond;
-  o.protocol.view_timeout = 2 * sim::kSecond;
-  o.client_rate_per_replica = 8000.0 / (n - 1);
-  o.client_resubmit_timeout = 2 * sim::kSecond;
+/// n replicas with light batches and a 2 s view timeout; 8000 req/s spread
+/// over the non-leader replicas' client groups, which re-submit after 2 s.
+harness::SimClusterConfig base_opts(std::uint32_t n) {
+  core::LeopardConfig protocol;
+  protocol.n = n;
+  protocol.datablock_requests = 50;
+  protocol.bftblock_links = 2;
+  protocol.datablock_max_wait = 100 * sim::kMillisecond;
+  protocol.proposal_max_wait = 50 * sim::kMillisecond;
+  protocol.view_timeout = 2 * sim::kSecond;
+  protocol.payload_size = 64;
+  core::ClientConfig client;
+  client.request_rate = 8000.0 / (n - 1);
+  client.payload_size = 64;
+  client.resubmit_timeout = 2 * sim::kSecond;
+  client.burst = 1;
+  harness::SimClusterConfig o;
+  o.spec.config = protocol;
+  o.net.propagation_delay = 100 * sim::kMicrosecond;  // tight for fast tests
+  o.seed = 7;
+  o.clients = harness::groups_per_replica(n, 1, client, o.seed + 100);
   return o;
+}
+
+core::LeopardConfig& protocol_of(harness::SimClusterConfig& o) {
+  return std::get<core::LeopardConfig>(o.spec.config);
 }
 }  // namespace
 
@@ -46,11 +60,11 @@ TEST_P(FaultSweep, SafetyAndLivenessHold) {
   const std::uint32_t f = (n - 1) / 3;
 
   std::vector<std::uint32_t> byz_ids;
-  opts.byzantine.resize(n);
+  std::vector<core::ByzantineSpec> byz(n);
   // Apply the fault to the LAST f replicas (never 0 = observer, 1 = leader).
   for (std::uint32_t i = n - f; i < n; ++i) {
     byz_ids.push_back(i);
-    auto& spec = opts.byzantine[i];
+    auto& spec = byz[i];
     switch (fault) {
       case Fault::kNone:
         byz_ids.pop_back();
@@ -75,10 +89,12 @@ TEST_P(FaultSweep, SafetyAndLivenessHold) {
     }
   }
 
-  LeopardCluster cluster(opts);
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+
+  harness::SimCluster cluster(opts);
   cluster.run_for(5.0);
 
-  EXPECT_TRUE(cluster.logs_consistent(byz_ids)) << "n=" << n;
+  EXPECT_TRUE(logs_consistent(cluster, byz_ids)) << "n=" << n;
   EXPECT_FALSE(cluster.metrics().safety_violation);
   EXPECT_GT(cluster.metrics().executed_requests, 500u) << "n=" << n;
   // Liveness: confirmations continue in the second half of the run.
@@ -98,14 +114,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Integration, SelectiveAttackersPlusLeaderCrash) {
   auto opts = base_opts(7);
-  opts.byzantine.resize(7);
-  opts.byzantine[5].selective_recipients = 4;
-  opts.byzantine[5].ignore_queries = true;
-  opts.byzantine[1].crash_at = sim::from_seconds(2.0);  // leader dies too (f = 2 total)
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(7);
+  byz[5].selective_recipients = 4;
+  byz[5].ignore_queries = true;
+  byz[1].crash_at = sim::from_seconds(2.0);  // leader dies too (f = 2 total)
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(12.0);
 
-  EXPECT_TRUE(cluster.logs_consistent({1, 5}));
+  EXPECT_TRUE(logs_consistent(cluster, {1, 5}));
   EXPECT_FALSE(cluster.metrics().safety_violation);
   EXPECT_GE(cluster.metrics().view_changes_completed, 1u);
   const auto mid = cluster.metrics().executed_requests;
@@ -117,14 +134,15 @@ TEST(Integration, SelectiveAttackersPlusLeaderCrash) {
 TEST(Integration, CascadedLeaderCrashes) {
   // Leaders of views 1 and 2 both fail: the protocol must walk to view 3.
   auto opts = base_opts(7);
-  opts.byzantine.resize(7);
-  opts.byzantine[1].crash_at = sim::from_seconds(1.0);
-  opts.byzantine[2].crash_at = sim::from_seconds(1.0);
-  LeopardCluster cluster(opts);
+  std::vector<core::ByzantineSpec> byz(7);
+  byz[1].crash_at = sim::from_seconds(1.0);
+  byz[2].crash_at = sim::from_seconds(1.0);
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(16.0);
 
   EXPECT_GE(cluster.replica(0).view(), 3u);
-  EXPECT_TRUE(cluster.logs_consistent({1, 2}));
+  EXPECT_TRUE(logs_consistent(cluster, {1, 2}));
   const auto mid = cluster.metrics().executed_requests;
   cluster.run_for(4.0);
   EXPECT_GT(cluster.metrics().executed_requests, mid);
@@ -134,10 +152,11 @@ TEST(Integration, StateTransferHealsLaggards) {
   // A replica that loses the retrieval race must catch up via the stable
   // checkpoint (state transfer) rather than stalling the cluster.
   auto opts = base_opts(7);
-  opts.protocol.max_parallel_instances = 8;  // frequent checkpoints
-  opts.byzantine.resize(7);
-  opts.byzantine[6].selective_recipients = 4;
-  LeopardCluster cluster(opts);
+  protocol_of(opts).max_parallel_instances = 8;  // frequent checkpoints
+  std::vector<core::ByzantineSpec> byz(7);
+  byz[6].selective_recipients = 4;
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
   cluster.run_for(8.0);
 
   // All honest replicas within one checkpoint window of each other.
@@ -149,34 +168,34 @@ TEST(Integration, StateTransferHealsLaggards) {
     hi = std::max(hi, cluster.replica(id).executed_through());
   }
   EXPECT_GT(lo, 0u);
-  EXPECT_LE(hi - lo, 2u * opts.protocol.max_parallel_instances);
+  EXPECT_LE(hi - lo, 2u * protocol_of(opts).max_parallel_instances);
 }
 
 // --- Partial synchrony --------------------------------------------------------
 
 TEST(Integration, ConfirmsAfterGstDespitePreGstChaos) {
   auto opts = base_opts(4);
-  LeopardCluster cluster(opts);
+  harness::SimCluster cluster(opts);
   // Reconfigure the network: heavy adversarial delay before GST at 2 s.
   // (The fixture's network is already built; emulate pre-GST chaos with a
   // link filter dropping most traffic until t = 2 s.)
   std::uint64_t counter = 0;
-  cluster.network().set_link_filter(
+  cluster.net().set_link_filter(
       [&cluster, &counter](sim::NodeId, sim::NodeId, const sim::Payload&) {
-        if (cluster.simulator().now() >= 2 * sim::kSecond) return true;
+        if (cluster.sim().now() >= 2 * sim::kSecond) return true;
         return (++counter % 4) == 0;  // deliver only a quarter of messages
       });
   cluster.run_for(8.0);
 
   EXPECT_GT(cluster.metrics().executed_requests, 500u);
-  EXPECT_TRUE(cluster.logs_consistent());
+  EXPECT_TRUE(logs_consistent(cluster));
   EXPECT_FALSE(cluster.metrics().safety_violation);
 }
 
 TEST(Integration, IdleClusterStaysInViewOne) {
   auto opts = base_opts(4);
-  opts.client_rate_per_replica = 0;  // no traffic at all
-  LeopardCluster cluster(opts);
+  for (auto& g : opts.clients) g.cfg.request_rate = 0;  // no traffic at all
+  harness::SimCluster cluster(opts);
   cluster.run_for(10.0);
   // No pending work -> no spurious view changes, no confirmations.
   EXPECT_EQ(cluster.replica(0).view(), 1u);
@@ -186,7 +205,7 @@ TEST(Integration, IdleClusterStaysInViewOne) {
 
 TEST(Integration, ChecksumChainMatchesAcrossReplicasAtEqualHeight) {
   auto opts = base_opts(7);
-  LeopardCluster cluster(opts);
+  harness::SimCluster cluster(opts);
   cluster.run_for(4.0);
   // Any two replicas with the same executed height share the state digest.
   for (std::uint32_t a = 0; a < 7; ++a) {

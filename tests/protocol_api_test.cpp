@@ -7,24 +7,33 @@
 #include "protocol/replay.hpp"
 
 using namespace leopard;
-using test::ClusterOptions;
-using test::LeopardCluster;
 
 namespace {
 
-ClusterOptions trace_opts(bool record) {
-  ClusterOptions o;
-  o.n = 4;
-  o.protocol.datablock_requests = 50;
-  o.protocol.bftblock_links = 2;
-  o.protocol.datablock_max_wait = 100 * sim::kMillisecond;
-  o.protocol.proposal_max_wait = 50 * sim::kMillisecond;
-  o.protocol.view_timeout = 30 * sim::kSecond;
-  o.client_rate_per_replica = 2000;
-  o.payload_size = 64;
+harness::SimClusterConfig trace_opts(bool record) {
+  core::LeopardConfig protocol;
+  protocol.n = 4;
+  protocol.datablock_requests = 50;
+  protocol.bftblock_links = 2;
+  protocol.datablock_max_wait = 100 * sim::kMillisecond;
+  protocol.proposal_max_wait = 50 * sim::kMillisecond;
+  protocol.view_timeout = 30 * sim::kSecond;
+  protocol.payload_size = 64;
+  core::ClientConfig client;
+  client.request_rate = 2000;
+  client.payload_size = 64;
+  client.burst = 1;
+  harness::SimClusterConfig o;
+  o.spec.config = protocol;
+  o.net.propagation_delay = 100 * sim::kMicrosecond;  // tight for fast tests
   o.seed = 21;
-  o.record_traces = record;
+  o.clients = harness::groups_per_replica(4, 1, client, o.seed + 100);
+  o.record = record;
   return o;
+}
+
+const core::LeopardConfig& protocol_of(const harness::SimCluster& cluster) {
+  return std::get<core::LeopardConfig>(cluster.config().spec.config);
 }
 
 }  // namespace
@@ -34,8 +43,8 @@ TEST(ProtocolApi, ActionTracesAreDeterministicAcrossRuns) {
   // the contract that makes a recorded trace a debugging artifact: any
   // divergence between two same-seed runs is a bug, and serialized traces
   // pinpoint the first divergent step.
-  LeopardCluster a(trace_opts(true));
-  LeopardCluster b(trace_opts(true));
+  harness::SimCluster a(trace_opts(true));
+  harness::SimCluster b(trace_opts(true));
   a.run_for(2.0);
   b.run_for(2.0);
 
@@ -53,8 +62,8 @@ TEST(ProtocolApi, ActionTracesAreDeterministicAcrossRuns) {
 TEST(ProtocolApi, RecordingEnvMatchesDirectRun) {
   // SimEnv-vs-direct equivalence: turning the recorder on must not change
   // protocol behaviour — confirmed logs and execution horizons are identical.
-  LeopardCluster recorded(trace_opts(true));
-  LeopardCluster direct(trace_opts(false));
+  harness::SimCluster recorded(trace_opts(true));
+  harness::SimCluster direct(trace_opts(false));
   recorded.run_for(2.0);
   direct.run_for(2.0);
 
@@ -66,7 +75,7 @@ TEST(ProtocolApi, RecordingEnvMatchesDirectRun) {
     EXPECT_EQ(recorded.replica(id).confirmed_log(), direct.replica(id).confirmed_log())
         << "replica " << id;
   }
-  EXPECT_TRUE(recorded.logs_consistent());
+  EXPECT_TRUE(test::logs_consistent(recorded));
 }
 
 TEST(ProtocolApi, ReplayReproducesRecordedBehaviour) {
@@ -74,12 +83,12 @@ TEST(ProtocolApi, ReplayReproducesRecordedBehaviour) {
   // simulator, no network — must emit the exact action trace the original
   // produced and land in the same confirmed state. Exercised for both a
   // follower (id 0, the observer) and the leader (id 1).
-  LeopardCluster cluster(trace_opts(true));
+  harness::SimCluster cluster(trace_opts(true));
   cluster.run_for(2.0);
   ASSERT_GT(cluster.metrics().executed_requests, 1000u);
 
   for (const std::uint32_t id : {0u, 1u}) {
-    core::LeopardReplica fresh(cluster.protocol_config(), cluster.scheme(), id);
+    core::LeopardReplica fresh(protocol_of(cluster), cluster.scheme(), id);
     protocol::ReplayEnv env;
     const auto replayed = env.replay(fresh, cluster.trace(id));
     EXPECT_EQ(replayed.digest(), cluster.trace(id).digest()) << "replica " << id;
@@ -95,11 +104,11 @@ TEST(ProtocolApi, ReplayFaultInjectionDropsConfirmationsSafely) {
   // delivered to the follower and replay. The core must stay well-behaved —
   // no crash, and its (reduced) confirmed log stays a subset of the
   // original's, never a conflicting entry.
-  LeopardCluster cluster(trace_opts(true));
+  harness::SimCluster cluster(trace_opts(true));
   cluster.run_for(2.0);
   ASSERT_GT(cluster.replica(0).executed_through(), 10u);
 
-  core::LeopardReplica fresh(cluster.protocol_config(), cluster.scheme(), 0);
+  core::LeopardReplica fresh(protocol_of(cluster), cluster.scheme(), 0);
   protocol::ReplayEnv env;
   std::size_t dropped = 0;
   env.set_event_filter([&](protocol::TraceStep& step) {
@@ -126,7 +135,7 @@ TEST(ProtocolApi, ReplayFaultInjectionDropsConfirmationsSafely) {
 TEST(ProtocolApi, TraceSerializationDetectsDivergence) {
   // The serialized form must distinguish traces that differ in one payload
   // byte or one dropped step — otherwise determinism checks are vacuous.
-  LeopardCluster cluster(trace_opts(true));
+  harness::SimCluster cluster(trace_opts(true));
   cluster.run_for(1.0);
 
   protocol::Trace copy = cluster.trace(0);

@@ -13,9 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "chaos/oracles.hpp"
+#include "harness/experiment.hpp"
 #include "proto/messages.hpp"
 #include "shard/sequencer.hpp"
-#include "shard/sim_cluster.hpp"
+#include "shard/sim_shard.hpp"
 #include "util/check.hpp"
 
 namespace leopard {
@@ -364,21 +365,30 @@ TEST(Sequencer, ShardOfIsStableAndBounded) {
 // rotated leaders, hash-partitioned clients, per-node merge.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedSim, TwoShardClusterCommitsOnEveryShardAndMergesConsistently) {
-  shard::ShardedClusterConfig cfg;
-  cfg.n = 4;
+/// A recorded n = 4, S = 2 experiment cluster with light batches (α = 100,
+/// τ = 4) offering `offered` req/s.
+harness::SimClusterConfig two_shard_cluster(double offered, std::uint64_t seed) {
+  harness::ExperimentConfig ec;
+  ec.n = 4;
+  ec.datablock_requests = 100;
+  ec.bftblock_links = 4;
+  ec.offered_load = offered;
+  ec.proposal_max_wait = 20 * sim::kMillisecond;
+  ec.seed = seed;
+  auto cfg = harness::experiment_cluster(ec);
   cfg.shards = 2;
-  cfg.datablock_requests = 100;
-  cfg.bftblock_links = 4;
-  cfg.offered_load = 30000;
-  cfg.proposal_max_wait = 20 * sim::kMillisecond;
-  cfg.seed = 42;
-  shard::ShardedSimCluster cluster(cfg);
+  cfg.record = true;
+  return cfg;
+}
+
+TEST(ShardedSim, TwoShardClusterCommitsOnEveryShardAndMergesConsistently) {
+  harness::SimCluster cluster(two_shard_cluster(30000, 42));
   cluster.run_until(6 * sim::kSecond);
 
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-      EXPECT_FALSE(cluster.node(i).shard_streams()[s].empty())
+  for (std::uint32_t i = 0; i < cluster.n(); ++i) {
+    const auto streams = cluster.node(i).shard_streams();
+    for (std::uint32_t s = 0; s < streams.size(); ++s) {
+      EXPECT_FALSE(streams[s].empty())
           << "replica " << i << " shard " << s << " committed nothing";
     }
     EXPECT_FALSE(cluster.node(i).merged().empty());
@@ -393,7 +403,7 @@ TEST(ShardedSim, TwoShardClusterCommitsOnEveryShardAndMergesConsistently) {
   // prefix, and the folds over that prefix must match (the sim analogue of
   // the deployment report's merged exec_digest equality).
   const auto& a = cluster.node(0).merged();
-  for (std::uint32_t i = 1; i < cfg.n; ++i) {
+  for (std::uint32_t i = 1; i < cluster.n(); ++i) {
     const auto& b = cluster.node(i).merged();
     const auto common = std::min(a.size(), b.size());
     ASSERT_GT(common, 0u);
@@ -407,23 +417,50 @@ TEST(ShardedSim, TwoShardClusterCommitsOnEveryShardAndMergesConsistently) {
 }
 
 TEST(ShardedSim, ShardedRunIsSeedDeterministic) {
-  shard::ShardedClusterConfig cfg;
-  cfg.n = 4;
-  cfg.shards = 2;
-  cfg.datablock_requests = 100;
-  cfg.bftblock_links = 4;
-  cfg.offered_load = 20000;
-  cfg.proposal_max_wait = 20 * sim::kMillisecond;
-  cfg.seed = 7;
-
-  auto run_once = [&] {
-    shard::ShardedSimCluster cluster(cfg);
+  // Same seed => the same merged stream and, core by core, the same
+  // recorded event/action trace on every hosted replica and client core.
+  struct Run {
+    std::vector<chaos::ExecRecord> merged;
+    std::vector<crypto::Digest> digests;
+  };
+  auto run_once = [] {
+    harness::SimCluster cluster(two_shard_cluster(20000, 7));
     cluster.run_until(3 * sim::kSecond);
-    return cluster.node(0).merged();
+    Run run{cluster.node(0).merged(), {}};
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      for (std::uint32_t i = 0; i < cluster.n(); ++i) {
+        EXPECT_GT(cluster.trace(i, s).action_count(), 100u) << "replica " << i << " shard " << s;
+        run.digests.push_back(cluster.trace(i, s).digest());
+      }
+      for (std::size_t g = 0; g < cluster.client_count(); ++g) {
+        run.digests.push_back(cluster.client(g).trace(s).digest());
+      }
+    }
+    return run;
   };
   const auto first = run_once();
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, run_once());
+  const auto second = run_once();
+  ASSERT_FALSE(first.merged.empty());
+  EXPECT_EQ(first.merged, second.merged);
+  ASSERT_EQ(first.digests.size(), second.digests.size());
+  for (std::size_t k = 0; k < first.digests.size(); ++k) {
+    EXPECT_EQ(first.digests[k], second.digests[k]) << "hosted core " << k;
+  }
+}
+
+TEST(ShardedSim, ZeroShareShardOfABoundedBudgetSubmitsNothing) {
+  // One request split over two shards: the shard that gets none of it must
+  // not read its zero share as "unlimited".
+  auto cfg = two_shard_cluster(20000, 3);
+  core::ClientConfig one;
+  one.request_rate = 1000;
+  one.total_requests = 1;
+  cfg.clients = {harness::ClientGroup{one, /*target=*/0, /*avoid=*/1, /*seed=*/17}};
+  harness::SimCluster cluster(std::move(cfg));
+  cluster.run_until(3 * sim::kSecond);
+  EXPECT_EQ(cluster.client(0).submitted(), 1u);
+  EXPECT_EQ(cluster.client(0).acked(), 1u);
+  EXPECT_TRUE(cluster.client(0).done());
 }
 
 TEST(ShardedSim, IdleShardUnblocksViaNoopFill) {
@@ -432,21 +469,22 @@ TEST(ShardedSim, IdleShardUnblocksViaNoopFill) {
   // the global stream eventually carries every shard-0 request — the
   // Raptr-style empty/filler slot liveness path, end to end through real
   // consensus.
-  shard::ShardedClusterConfig cfg;
-  cfg.n = 4;
+  harness::ExperimentConfig ec;
+  ec.n = 4;
+  ec.datablock_requests = 50;
+  ec.bftblock_links = 2;
+  ec.proposal_max_wait = 10 * sim::kMillisecond;
+  ec.seed = 11;
+  auto cfg = harness::experiment_cluster(ec);
+  std::get<core::LeopardConfig>(cfg.spec.config).datablock_max_wait = 20 * sim::kMillisecond;
   cfg.shards = 2;
-  cfg.spawn_clients = false;
-  cfg.datablock_requests = 50;
-  cfg.bftblock_links = 2;
-  cfg.stall_tick = 50 * sim::kMillisecond;
-  cfg.proposal_max_wait = 10 * sim::kMillisecond;
-  cfg.datablock_max_wait = 20 * sim::kMillisecond;
-  cfg.seed = 11;
-  shard::ShardedSimCluster cluster(cfg);
+  cfg.clients.clear();  // liveness is driven through inject_local_request
+  cfg.record = true;
+  harness::SimCluster cluster(std::move(cfg));
 
   // Nothing offered: a fully idle system must not spin no-ops.
   cluster.run_until(1 * sim::kSecond);
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+  for (std::uint32_t i = 0; i < cluster.n(); ++i) {
     EXPECT_EQ(cluster.node(i).noops_injected(), 0u) << "replica " << i;
     EXPECT_TRUE(cluster.node(i).merged().empty());
   }
@@ -462,14 +500,14 @@ TEST(ShardedSim, IdleShardUnblocksViaNoopFill) {
   cluster.run_until(12 * sim::kSecond);
 
   std::uint64_t total_noops = 0;
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+  for (std::uint32_t i = 0; i < cluster.n(); ++i) {
     total_noops += cluster.node(i).noops_injected();
   }
   EXPECT_GT(total_noops, 0u) << "stall tick never fired a no-op";
 
   // Every shard-0 request reached the merged stream on every replica, and
   // shard 1 contributed its no-op filler commits.
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+  for (std::uint32_t i = 0; i < cluster.n(); ++i) {
     const auto& merged = cluster.node(i).merged();
     std::uint64_t shard0_requests = 0;
     bool shard1_present = false;
@@ -491,12 +529,12 @@ TEST(ShardedSim, IdleShardUnblocksViaNoopFill) {
   // re-arm the stall detector into a perpetual heartbeat.
   cluster.run_until(16 * sim::kSecond);
   std::uint64_t noops_at_16s = 0;
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+  for (std::uint32_t i = 0; i < cluster.n(); ++i) {
     noops_at_16s += cluster.node(i).noops_injected();
   }
   cluster.run_until(20 * sim::kSecond);
   std::uint64_t noops_at_20s = 0;
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+  for (std::uint32_t i = 0; i < cluster.n(); ++i) {
     noops_at_20s += cluster.node(i).noops_injected();
   }
   EXPECT_EQ(noops_at_20s, noops_at_16s) << "no-op injection never quiesced";

@@ -448,6 +448,26 @@ TEST(SocketCluster, LiveObservabilityEndpointsServeAllThreeRoutes) {
   }
 }
 
+// A one-request budget over two shards: the shard whose share is 0 must
+// submit nothing (total_requests = 0 would read as "unlimited"), so the
+// client acks its one request and finishes, which is leopard_node --client
+// exiting 0.
+TEST(SocketCluster, ShardedClientWithOneRequestFinishes) {
+  auto manifest = test_manifest();
+  manifest.shards = 2;
+  leopard::node::LoopbackCluster cluster(manifest);
+  for (leopard::sim::NodeId id = 0; id < 4; ++id) cluster.start({.id = id});
+
+  leopard::obs::Registry registry;
+  leopard::node::Client client(cluster.manifest(),
+                               {.id = 100, .requests = 1, .window = 32, .timeout = 20},
+                               registry);
+  const auto report = parse_report(leopard::node::render_fields(client.run()));
+  EXPECT_EQ(report.at("submitted"), "1");
+  EXPECT_EQ(report.at("acked"), "1");
+  EXPECT_TRUE(client.done());
+}
+
 // Two protocol shards multiplexed over the same TCP connections: every
 // replica must agree per shard (shardK_digest) AND on the merged global
 // stream (exec_digest), with every client request committed through one of
