@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <variant>
 
-#include "proto/messages.hpp"
+#include "net/wire.hpp"
 
 namespace leopard::chaos {
 
@@ -28,187 +29,33 @@ std::uint32_t count_eligible(const protocol::Trace& trace) {
   return n;
 }
 
-crypto::Digest flip_digest(const crypto::Digest& d, std::uint64_t param) {
-  crypto::Sha256::DigestBytes b{};
-  std::copy(d.bytes().begin(), d.bytes().end(), b.begin());
-  b[param % b.size()] ^= static_cast<std::uint8_t>(1u << ((param >> 5) % 8));
-  return crypto::Digest(b);
-}
-
-template <typename ShareLike>
-void flip_share(ShareLike& s, std::uint64_t param) {
-  s.bytes[param % s.bytes.size()] ^= static_cast<std::uint8_t>(1u << ((param >> 6) % 8));
-}
-
-/// Returns a corrupted copy of `payload`, or nullptr when the type has no
-/// modeled corruption (the op is then a no-op, not a drop — classes stay
+/// Returns `payload` with one bit of its wire body flipped (the bit chosen by
+/// `param`) and decoded again at `now`: a frame a network peer can deliver,
+/// reaching every field the codec carries. The length header and the tag are
+/// never touched. nullptr when the payload has no wire form or the flipped
+/// body does not decode (the op is then a no-op, not a drop — classes stay
 /// distinct for coverage accounting).
-sim::PayloadPtr corrupt_payload(const sim::Payload& payload, std::uint64_t param) {
-  const auto pick = [&](std::uint64_t arms) { return param % arms; };
-
-  if (const auto* m = dynamic_cast<const proto::ClientRequestMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::ClientRequestMsg>(*m);
-    if (copy->requests.empty()) return nullptr;
-    auto& req = copy->requests[(param >> 8) % copy->requests.size()];
-    if (pick(2) == 0) {
-      req.seq ^= 1 + ((param >> 16) & 0xFFFF);
-    } else {
-      req.client_id ^= 1 + ((param >> 16) & 0xFFFF);
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::DatablockMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::DatablockMsg>(*m);
-    copy->cached_digest = flip_digest(copy->cached_digest, param);
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::ReadyMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::ReadyMsg>(*m);
-    if (copy->datablock_hashes.empty()) return nullptr;
-    auto& h = copy->datablock_hashes[(param >> 8) % copy->datablock_hashes.size()];
-    h = flip_digest(h, param);
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::BftBlockMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::BftBlockMsg>(*m);
-    switch (pick(4)) {
-      case 0: copy->cached_digest = flip_digest(copy->cached_digest, param); break;
-      case 1: copy->block.view ^= 1 + ((param >> 16) & 0xF); break;
-      case 2: copy->block.sn ^= 1 + ((param >> 16) & 0xF); break;
-      default:
-        if (copy->block.links.empty()) return nullptr;
-        copy->block.links[(param >> 8) % copy->block.links.size()] =
-            flip_digest(copy->block.links[0], param);
-        break;
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::VoteMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::VoteMsg>(*m);
-    switch (pick(3)) {
-      case 0: copy->round = copy->round == 1 ? 2 : 1; break;
-      case 1: copy->block_digest = flip_digest(copy->block_digest, param); break;
-      default: flip_share(copy->share, param); break;
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::ProofMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::ProofMsg>(*m);
-    if (pick(2) == 0) {
-      copy->round = copy->round == 1 ? 2 : 1;
-    } else {
-      flip_share(copy->signature, param);
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::QueryMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::QueryMsg>(*m);
-    if (copy->missing.empty()) return nullptr;
-    auto& h = copy->missing[(param >> 8) % copy->missing.size()];
-    h = flip_digest(h, param);
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::ChunkResponseMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::ChunkResponseMsg>(*m);
-    if (!copy->chunk.empty() && pick(2) == 0) {
-      copy->chunk[(param >> 8) % copy->chunk.size()] ^= 0xFF;
-    } else {
-      copy->merkle_root = flip_digest(copy->merkle_root, param);
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::CheckpointMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::CheckpointMsg>(*m);
-    switch (pick(3)) {
-      case 0: copy->sn ^= 1 + ((param >> 16) & 0xF); break;
-      case 1: copy->state = flip_digest(copy->state, param); break;
-      default:
-        if (copy->share) {
-          flip_share(*copy->share, param);
-        } else if (copy->signature) {
-          flip_share(*copy->signature, param);
-        }
-        break;
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::TimeoutMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::TimeoutMsg>(*m);
-    if (pick(2) == 0) {
-      copy->view ^= 1 + ((param >> 16) & 0xF);
-    } else {
-      flip_share(copy->share, param);
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::ViewChangeMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::ViewChangeMsg>(*m);
-    switch (pick(3)) {
-      case 0: copy->new_view ^= 1 + ((param >> 16) & 0xF); break;
-      case 1: copy->checkpoint_sn ^= 1 + ((param >> 16) & 0xF); break;
-      default: copy->checkpoint_state = flip_digest(copy->checkpoint_state, param); break;
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::NewViewMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::NewViewMsg>(*m);
-    if (pick(2) == 0 || copy->view_changes.empty()) {
-      copy->new_view ^= 1 + ((param >> 16) & 0xF);
-    } else {
-      copy->view_changes[(param >> 8) % copy->view_changes.size()].checkpoint_sn ^= 1;
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::BaselineBlockMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::BaselineBlockMsg>(*m);
-    switch (pick(3)) {
-      case 0: copy->cached_digest = flip_digest(copy->cached_digest, param); break;
-      case 1: copy->height ^= 1 + ((param >> 16) & 0xF); break;
-      default: copy->parent = flip_digest(copy->parent, param); break;
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::BaselineVoteMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::BaselineVoteMsg>(*m);
-    switch (pick(3)) {
-      case 0: copy->height ^= 1 + ((param >> 16) & 0xF); break;
-      case 1: copy->block_digest = flip_digest(copy->block_digest, param); break;
-      default: flip_share(copy->share, param); break;
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::StateOfferMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::StateOfferMsg>(*m);
-    switch (pick(3)) {
-      case 0: copy->until_index ^= 1 + ((param >> 16) & 0xF); break;
-      case 1: copy->from_index ^= 1 + ((param >> 16) & 0xF); break;
-      default: copy->exec_digest = flip_digest(copy->exec_digest, param); break;
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::StateChunkMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::StateChunkMsg>(*m);
-    if (!copy->chunk.empty() && pick(2) == 0) {
-      copy->chunk[(param >> 8) % copy->chunk.size()] ^= 0xFF;
-    } else {
-      copy->exec_digest = flip_digest(copy->exec_digest, param);
-    }
-    return copy;
-  }
-  if (const auto* m = dynamic_cast<const proto::AckMsg*>(&payload)) {
-    auto copy = std::make_shared<proto::AckMsg>(*m);
-    if (copy->seqs.empty()) return nullptr;
-    copy->seqs[(param >> 8) % copy->seqs.size()] ^= 1 + ((param >> 16) & 0xFFFF);
-    return copy;
-  }
-  return nullptr;
+sim::PayloadPtr corrupt_payload(const sim::Payload& payload, std::uint64_t param,
+                                sim::SimTime now) {
+  util::Bytes frame;
+  if (!net::encode_frame(payload, /*instance=*/0, frame)) return nullptr;
+  const auto type = static_cast<net::MsgType>(frame[net::kFrameHeaderBytes]);
+  const std::span<std::uint8_t> body(frame.data() + net::kFrameHeaderBytes + 1,
+                                     frame.size() - net::kFrameHeaderBytes - 1);
+  if (body.empty()) return nullptr;
+  const auto bit = param % (body.size() * 8);
+  body[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  return net::decode_payload(type, body, now);
 }
 
-void corrupt_event(protocol::Event& event, std::uint64_t param) {
-  if (auto* in = std::get_if<protocol::MessageIn>(&event)) {
-    if (auto corrupted = corrupt_payload(*in->payload, param)) in->payload = std::move(corrupted);
-  } else if (auto* cr = std::get_if<protocol::ClientRequest>(&event)) {
-    if (auto corrupted = corrupt_payload(*cr->request, param)) {
+void corrupt_event(protocol::TraceStep& step, std::uint64_t param) {
+  if (auto* in = std::get_if<protocol::MessageIn>(&step.event)) {
+    if (auto corrupted = corrupt_payload(*in->payload, param, step.at)) {
+      in->payload = std::move(corrupted);
+    }
+  } else if (auto* cr = std::get_if<protocol::ClientRequest>(&step.event)) {
+    if (auto corrupted = corrupt_payload(*cr->request, param, step.at)) {
+      // The body was encoded as kClientRequest, so it decodes to one.
       cr->request = std::static_pointer_cast<const proto::ClientRequestMsg>(std::move(corrupted));
     }
   }
@@ -338,7 +185,7 @@ protocol::ReplayEnv::EventFilter TraceMutator::make_filter(const MutationPlan& p
           }
           break;
         case MutationClass::kFieldCorruption:
-          corrupt_event(step.event, op.param);
+          corrupt_event(step, op.param);
           break;
         default:
           break;  // structural ops were applied to the input stream

@@ -9,7 +9,11 @@
 //     re-normalized to stay non-decreasing;
 //   - in-flight (kFieldCorruption, kDrop, kSpoofSender): applied through
 //     `ReplayEnv::set_event_filter` as each event is delivered, exactly the
-//     byzantine injection point replay.hpp documents.
+//     byzantine injection point replay.hpp documents. Field corruption
+//     flips one bit of the message's wire body (net::encode_frame) and
+//     decodes it again (net::decode_payload), so it reaches every field the
+//     codec carries — certificates included — and only ever delivers frames
+//     a network peer could send; an undecodable flip is a no-op.
 //
 // Determinism: a case is fully identified by (sweep_seed, case_seed). The
 // plan derivation, every random parameter, and the corpus evolution depend

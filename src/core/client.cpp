@@ -11,7 +11,12 @@ namespace leopard::core {
 LeopardClient::LeopardClient(ClientConfig cfg, protocol::NodeId target,
                              std::uint32_t replica_count, protocol::NodeId avoid,
                              std::uint64_t seed)
-    : cfg_(cfg), target_(target), replica_count_(replica_count), avoid_(avoid), rng_(seed) {}
+    : cfg_(cfg),
+      target_(target),
+      replica_count_(replica_count),
+      avoid_(avoid),
+      seed_(seed),
+      rng_(seed) {}
 
 void LeopardClient::do_start() {
   if (cfg_.burst == 0) {
@@ -56,6 +61,22 @@ std::uint64_t LeopardClient::remaining_budget() const {
   return cfg_.total_requests > next_seq_ ? cfg_.total_requests - next_seq_ : 0;
 }
 
+proto::Request LeopardClient::make_request(std::uint64_t seq, sim::SimTime submitted_at) const {
+  proto::Request req;
+  req.client_id = self_;
+  req.seq = seq;
+  req.payload_size = cfg_.payload_size;
+  req.submitted_at = submitted_at;
+  if (cfg_.real_payload) {
+    // Drawn from (seed, seq), not from rng_: a resend is byte-identical to
+    // the first send, so replicas see one request digest, not a new request.
+    util::Rng bytes(seed_ ^ (seq * 0x9E3779B97F4A7C15ull));
+    req.payload.resize(cfg_.payload_size);
+    bytes.fill(req.payload.data(), req.payload.size());
+  }
+  return req;
+}
+
 void LeopardClient::submit_burst(std::uint32_t count) {
   count = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(count, remaining_budget()));
@@ -64,15 +85,7 @@ void LeopardClient::submit_burst(std::uint32_t count) {
   // One batch per destination: the pinned target, or µ(req)-routed buckets.
   std::map<protocol::NodeId, std::shared_ptr<proto::ClientRequestMsg>> batches;
   for (std::uint32_t i = 0; i < count; ++i) {
-    proto::Request req;
-    req.client_id = self_;
-    req.seq = next_seq_++;
-    req.payload_size = cfg_.payload_size;
-    req.submitted_at = t;
-    if (cfg_.real_payload) {
-      req.payload.resize(cfg_.payload_size);
-      rng_.fill(req.payload.data(), req.payload.size());
-    }
+    const auto req = make_request(next_seq_++, t);
 
     protocol::NodeId first = target_;
     if (cfg_.route_by_mu) {
@@ -144,16 +157,8 @@ void LeopardClient::resubmit_tick() {
     out.last_sent_at = t;
     ++out.attempts;
 
-    proto::Request req;
-    req.client_id = self_;
-    req.seq = seq;
-    req.payload_size = cfg_.payload_size;
-    req.submitted_at = out.submitted_at;
-    if (cfg_.real_payload) {
-      req.payload.resize(cfg_.payload_size);
-      rng_.fill(req.payload.data(), req.payload.size());
-    }
-    env().send(next, std::make_shared<proto::ClientRequestMsg>(std::move(req)));
+    env().send(next, std::make_shared<proto::ClientRequestMsg>(
+                         make_request(seq, out.submitted_at)));
   }
   env().set_timer(kResubmitTick,
                   std::max<sim::SimTime>(cfg_.resubmit_timeout / 2, sim::kMillisecond));

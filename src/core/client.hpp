@@ -104,6 +104,8 @@ class LeopardClient final : public protocol::ProtocolBase {
   };
 
   [[nodiscard]] std::uint64_t remaining_budget() const;
+  /// Request `seq` as sent at `submitted_at`; identical on every (re)send.
+  [[nodiscard]] proto::Request make_request(std::uint64_t seq, sim::SimTime submitted_at) const;
   void submit_burst(std::uint32_t count);
   void submit_next();
   void refill_window();
@@ -121,6 +123,7 @@ class LeopardClient final : public protocol::ProtocolBase {
   protocol::NodeId target_;
   std::uint32_t replica_count_;
   protocol::NodeId avoid_;
+  std::uint64_t seed_;  // with seq, derives each request's payload bytes
   util::Rng rng_;
 
   std::uint64_t next_seq_ = 0;

@@ -79,7 +79,8 @@ struct Hello {
 };
 
 /// Tag for a payload's dynamic type; nullopt for payload types that have no
-/// wire form (there are none today — every proto message is covered).
+/// wire form (every proto message has one; the simulator's
+/// protocol::ShardEnvelope and application-defined kMisc payloads do not).
 [[nodiscard]] std::optional<MsgType> type_of(const sim::Payload& payload);
 
 /// Serializes `payload` as one complete frame (header + tag + body) appended

@@ -2,111 +2,21 @@
 
 #include <bit>
 
+#include "net/wire.hpp"
+
 namespace leopard::protocol {
 
-namespace {
-
-void fold_share(util::ByteWriter& w, const crypto::SignatureShare& s) {
-  w.u32(s.signer);
-  w.raw(s.bytes);
-}
-
-void fold_sig(util::ByteWriter& w, const crypto::ThresholdSignature& s) { w.raw(s.bytes); }
-
-void fold_digests(util::ByteWriter& w, const std::vector<crypto::Digest>& ds) {
-  w.u32(static_cast<std::uint32_t>(ds.size()));
-  for (const auto& d : ds) w.raw(d.bytes());
-}
-
-}  // namespace
-
 std::uint64_t payload_fingerprint(const sim::Payload& payload) {
+  // The wire codec is the one definition of a message's content: every field
+  // a peer can send, and nothing sim-only, feeds the fingerprint.
+  util::Bytes frame;
+  if (net::encode_frame(payload, /*instance=*/0, frame)) {
+    return crypto::Digest::of(frame).prefix64();
+  }
+  // No wire form (the sim's shard envelope, test-only payloads): shape only.
   util::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(payload.component()));
   w.u64(payload.wire_size());
-
-  if (const auto* m = dynamic_cast<const proto::ClientRequestMsg*>(&payload)) {
-    for (const auto& r : m->requests) {
-      w.u64(r.client_id);
-      w.u64(r.seq);
-    }
-  } else if (const auto* m = dynamic_cast<const proto::AckMsg*>(&payload)) {
-    w.u64(m->client_id);
-    for (const auto s : m->seqs) w.u64(s);
-  } else if (const auto* m = dynamic_cast<const proto::DatablockMsg*>(&payload)) {
-    w.raw(m->cached_digest.bytes());
-  } else if (const auto* m = dynamic_cast<const proto::ReadyMsg*>(&payload)) {
-    fold_digests(w, m->datablock_hashes);
-  } else if (const auto* m = dynamic_cast<const proto::BftBlockMsg*>(&payload)) {
-    w.raw(m->cached_digest.bytes());
-    fold_share(w, m->leader_share);
-  } else if (const auto* m = dynamic_cast<const proto::VoteMsg*>(&payload)) {
-    w.u8(m->round);
-    w.raw(m->block_digest.bytes());
-    fold_share(w, m->share);
-  } else if (const auto* m = dynamic_cast<const proto::ProofMsg*>(&payload)) {
-    w.u8(m->round);
-    w.raw(m->block_digest.bytes());
-    fold_sig(w, m->signature);
-  } else if (const auto* m = dynamic_cast<const proto::QueryMsg*>(&payload)) {
-    fold_digests(w, m->missing);
-  } else if (const auto* m = dynamic_cast<const proto::ChunkResponseMsg*>(&payload)) {
-    w.raw(m->datablock_hash.bytes());
-    w.raw(m->merkle_root.bytes());
-    w.u32(m->chunk_index);
-    w.u32(m->leaf_count);
-    w.blob(m->chunk);
-  } else if (const auto* m = dynamic_cast<const proto::CheckpointMsg*>(&payload)) {
-    w.u64(m->sn);
-    w.raw(m->state.bytes());
-    if (m->share) fold_share(w, *m->share);
-    if (m->signature) fold_sig(w, *m->signature);
-  } else if (const auto* m = dynamic_cast<const proto::TimeoutMsg*>(&payload)) {
-    w.u32(m->view);
-    fold_share(w, m->share);
-  } else if (const auto* m = dynamic_cast<const proto::ViewChangeMsg*>(&payload)) {
-    w.u32(m->new_view);
-    w.u64(m->checkpoint_sn);
-    w.raw(m->checkpoint_state.bytes());
-    w.u32(m->sender);
-    w.u32(static_cast<std::uint32_t>(m->notarized.size()));
-    for (const auto& nb : m->notarized) {
-      w.raw(nb.block.digest().bytes());
-      fold_sig(w, nb.notarization);
-    }
-    fold_share(w, m->sender_sig);
-  } else if (const auto* m = dynamic_cast<const proto::NewViewMsg*>(&payload)) {
-    w.u32(m->new_view);
-    w.u32(static_cast<std::uint32_t>(m->view_changes.size()));
-    for (const auto& vc : m->view_changes) {
-      w.u32(vc.sender);
-      w.u64(vc.checkpoint_sn);
-    }
-    fold_share(w, m->leader_sig);
-  } else if (const auto* m = dynamic_cast<const proto::BaselineBlockMsg*>(&payload)) {
-    w.u64(m->height);
-    w.raw(m->cached_digest.bytes());
-  } else if (const auto* m = dynamic_cast<const proto::BaselineVoteMsg*>(&payload)) {
-    w.u8(m->phase);
-    w.u64(m->height);
-    w.raw(m->block_digest.bytes());
-    fold_share(w, m->share);
-  } else if (const auto* m = dynamic_cast<const proto::StateOfferMsg*>(&payload)) {
-    w.u8(m->kind);
-    w.u64(m->transfer_id);
-    w.u64(m->from_index);
-    w.u64(m->until_index);
-    w.raw(m->exec_digest.bytes());
-  } else if (const auto* m = dynamic_cast<const proto::StateChunkMsg*>(&payload)) {
-    w.u64(m->transfer_id);
-    w.u64(m->from_index);
-    w.u64(m->until_index);
-    w.raw(m->exec_digest.bytes());
-    w.u32(m->chunk_index);
-    w.u32(m->data_shards);
-    w.u32(m->total_shards);
-    w.blob(m->chunk);
-  }
   return crypto::Digest::of(w.bytes()).prefix64();
 }
 

@@ -25,10 +25,10 @@
 
 namespace leopard::protocol {
 
-/// Stable 64-bit content identity of a wire message: folds the
-/// distinguishing fields of every proto message type (digests, signer ids,
-/// signature bytes) so trace comparison detects payload divergence, not just
-/// shape divergence.
+/// Stable 64-bit content identity of a message: the digest of its wire frame
+/// (net::encode_frame), so every field the codec carries is covered and
+/// trace comparison detects payload divergence, not just shape divergence.
+/// A payload with no wire form folds only its component and wire_size().
 [[nodiscard]] std::uint64_t payload_fingerprint(const sim::Payload& payload);
 
 /// One step: the event delivered at `at` and the actions it produced.

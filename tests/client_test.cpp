@@ -2,6 +2,7 @@
 // injection, ack bookkeeping, latency accounting, and re-submission rotation.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "core/client.hpp"
@@ -134,6 +135,38 @@ TEST(Client, ResubmitsToNextReplicaOnTimeout) {
     (void)r;
     FAIL() << "avoided replica must not receive re-submissions";
   }
+}
+
+TEST(Client, ResubmittedRequestIsByteIdentical) {
+  // A resend is the same request: with real payload bytes, every copy of a
+  // (client_id, seq) must carry the first send's digest, or replicas would
+  // order it as a new request.
+  core::ClientConfig cfg;
+  cfg.real_payload = true;
+  cfg.payload_size = 64;
+  cfg.closed_loop_window = 4;
+  cfg.total_requests = 4;
+  cfg.resubmit_timeout = 100 * sim::kMillisecond;
+  ClientHarness h(cfg);  // nobody acks: every request is resent
+  h.run(1.0);
+  // The first sends reach replica 0 before any resend; resends rotate
+  // through 2, 3, 0, ...
+  std::map<std::uint64_t, crypto::Digest> first;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto& r = h.replicas[0]->received.at(i);
+    ASSERT_EQ(r.payload.size(), 64u);
+    first.emplace(r.seq, r.digest());
+  }
+  ASSERT_EQ(first.size(), 4u);
+  std::size_t copies = 0;
+  for (const auto& replica : h.replicas) {
+    for (const auto& r : replica->received) {
+      ASSERT_TRUE(first.contains(r.seq));
+      EXPECT_EQ(r.digest(), first.at(r.seq)) << "seq " << r.seq;
+      ++copies;
+    }
+  }
+  EXPECT_GE(copies, 3 * 4u) << "every request must have been resent at least twice";
 }
 
 TEST(Client, StopsAtConfiguredTime) {

@@ -3,6 +3,10 @@
 // fault injection at the API boundary (no network machinery required).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <variant>
+
 #include "cluster_fixture.hpp"
 #include "protocol/replay.hpp"
 
@@ -134,13 +138,25 @@ TEST(ProtocolApi, ReplayFaultInjectionDropsConfirmationsSafely) {
 
 TEST(ProtocolApi, TraceSerializationDetectsDivergence) {
   // The serialized form must distinguish traces that differ in one payload
-  // byte or one dropped step — otherwise determinism checks are vacuous.
+  // field or one dropped step — otherwise determinism checks are vacuous.
+  // (Wire.FingerprintSeesEveryWiredField covers every field of every type.)
   harness::SimCluster cluster(trace_opts(true));
   cluster.run_for(1.0);
 
+  const auto original_digest = cluster.trace(0).digest();
   protocol::Trace copy = cluster.trace(0);
   ASSERT_GT(copy.steps.size(), 2u);
-  const auto original_digest = cluster.trace(0).digest();
   copy.steps.pop_back();
+  EXPECT_NE(copy.digest(), original_digest);
+
+  copy = cluster.trace(0);
+  const auto it = std::find_if(copy.steps.begin(), copy.steps.end(), [](const auto& step) {
+    return std::holds_alternative<protocol::ClientRequest>(step.event);
+  });
+  ASSERT_NE(it, copy.steps.end());
+  auto& in = std::get<protocol::ClientRequest>(it->event);
+  auto edited = std::make_shared<proto::ClientRequestMsg>(*in.request);
+  edited->requests[0].payload_size ^= 1;
+  in.request = std::move(edited);
   EXPECT_NE(copy.digest(), original_digest);
 }

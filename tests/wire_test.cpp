@@ -1,15 +1,23 @@
 // Wire layer: frame round-trips for every message type, hard-limit and
 // malformed-frame rejection, and partial-read reassembly across split
-// read()s (net/wire.hpp).
+// read()s (net/wire.hpp); plus the two users of the codec as the definition
+// of a message's content: the trace fingerprint and the mutator's field
+// corruption.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <span>
+#include <string>
+#include <variant>
+#include <vector>
 
+#include "chaos/mutator.hpp"
 #include "net/manifest.hpp"
 #include "net/wire.hpp"
 #include "proto/messages.hpp"
+#include "protocol/replay.hpp"
 #include "util/check.hpp"
 
 using namespace leopard;
@@ -73,128 +81,64 @@ std::shared_ptr<const T> round_trip_as(const T& msg) {
   return decoded;
 }
 
-}  // namespace
+/// One populated message of each of the 17 payload wire types, shared by the
+/// round-trip, fingerprint and field-corruption tests.
+struct Samples {
+  proto::ClientRequestMsg request;
+  proto::AckMsg ack;
+  proto::DatablockMsg datablock{proto::Datablock{}};
+  proto::ReadyMsg ready;
+  proto::BftBlockMsg bft_block{proto::BftBlock{}, crypto::SignatureShare{}};
+  proto::VoteMsg vote;
+  proto::ProofMsg proof;
+  proto::QueryMsg query;
+  proto::ChunkResponseMsg chunk;
+  proto::CheckpointMsg checkpoint;
+  proto::TimeoutMsg timeout;
+  proto::ViewChangeMsg view_change;
+  proto::NewViewMsg new_view;
+  proto::BaselineBlockMsg baseline_block;
+  proto::BaselineVoteMsg baseline_vote;
+  proto::StateOfferMsg state_offer;
+  proto::StateChunkMsg state_chunk;
+};
 
-TEST(Wire, ClientRequestRoundTrip) {
-  proto::ClientRequestMsg msg;
-  msg.requests.push_back(request_of(9, 0, true));
-  msg.requests.push_back(request_of(9, 1, false));  // synthetic payload
-  const auto decoded = round_trip_as(msg);
-  ASSERT_EQ(decoded->requests.size(), 2u);
-  EXPECT_EQ(decoded->requests[0].payload, msg.requests[0].payload);
-  EXPECT_EQ(decoded->requests[1].payload_size, 48u);
-  EXPECT_TRUE(decoded->requests[1].payload.empty());
-  // Sim-only metadata is re-stamped with the receiver's clock.
-  EXPECT_EQ(decoded->requests[0].submitted_at, 777);
-  // Identity-bearing fields survive exactly: digests match.
-  EXPECT_EQ(decoded->requests[0].digest(), msg.requests[0].digest());
-}
-
-TEST(Wire, AckRoundTrip) {
-  proto::AckMsg msg;
-  msg.client_id = 42;
-  msg.seqs = {1, 2, 3, 100};
-  const auto decoded = round_trip_as(msg);
-  EXPECT_EQ(decoded->client_id, 42u);
-  EXPECT_EQ(decoded->seqs, msg.seqs);
-}
-
-TEST(Wire, DatablockRoundTripRecomputesDigest) {
+Samples samples() {
+  Samples s;
+  s.request.requests = {request_of(9, 0, true), request_of(9, 1, false)};  // real, synthetic
+  s.ack.client_id = 42;
+  s.ack.seqs = {1, 2, 3, 100};
   proto::Datablock db;
   db.maker = 3;
   db.counter = 17;
-  db.requests.push_back(request_of(5, 0, true));
-  db.requests.push_back(request_of(5, 1, true));
-  const proto::DatablockMsg msg(std::move(db));
-  const auto decoded = round_trip_as(msg);
-  EXPECT_EQ(decoded->datablock.maker, 3u);
-  EXPECT_EQ(decoded->datablock.counter, 17u);
-  EXPECT_EQ(decoded->cached_digest, msg.cached_digest);  // recomputed, not relayed
-  EXPECT_EQ(decoded->created_at, 777);                   // receiver-stamped
-}
-
-TEST(Wire, ReadyRoundTrip) {
-  proto::ReadyMsg msg;
-  msg.datablock_hashes = {digest_of(1), digest_of(2)};
-  const auto decoded = round_trip_as(msg);
-  EXPECT_EQ(decoded->datablock_hashes, msg.datablock_hashes);
-}
-
-TEST(Wire, BftBlockRoundTrip) {
+  db.requests = {request_of(5, 0, true), request_of(5, 1, true)};
+  s.datablock = proto::DatablockMsg(std::move(db));
+  s.ready.datablock_hashes = {digest_of(1), digest_of(2)};
   proto::BftBlock block;
   block.view = 2;
   block.sn = 99;
   block.links = {digest_of(7), digest_of(8), digest_of(9)};
-  const proto::BftBlockMsg msg(std::move(block), share_of(1, 0xAB));
-  const auto decoded = round_trip_as(msg);
-  EXPECT_EQ(decoded->block.sn, 99u);
-  EXPECT_EQ(decoded->block.links.size(), 3u);
-  EXPECT_EQ(decoded->leader_share, msg.leader_share);
-  EXPECT_EQ(decoded->cached_digest, msg.cached_digest);
-}
-
-TEST(Wire, VoteAndProofRoundTrip) {
-  proto::VoteMsg vote;
-  vote.round = 2;
-  vote.block_digest = digest_of(0x33);
-  vote.share = share_of(5, 0x44);
-  const auto v = round_trip_as(vote);
-  EXPECT_EQ(v->round, 2);
-  EXPECT_EQ(v->share, vote.share);
-
-  proto::ProofMsg proof;
-  proof.round = 1;
-  proof.block_digest = digest_of(0x55);
-  proof.signature = tsig_of(0x66);
-  const auto p = round_trip_as(proof);
-  EXPECT_EQ(p->signature, proof.signature);
-}
-
-TEST(Wire, QueryAndChunkResponseRoundTrip) {
-  proto::QueryMsg query;
-  query.missing = {digest_of(0x10)};
-  round_trip_as(query);
-
-  proto::ChunkResponseMsg chunk;
-  chunk.datablock_hash = digest_of(0x21);
-  chunk.merkle_root = digest_of(0x22);
-  chunk.chunk_index = 3;
-  chunk.leaf_count = 8;
-  chunk.chunk = {1, 2, 3, 4, 5};
-  chunk.chunk_size = 5;
-  chunk.proof = {digest_of(0x23), digest_of(0x24), digest_of(0x25)};
-  const auto c = round_trip_as(chunk);
-  EXPECT_EQ(c->chunk, chunk.chunk);
-  EXPECT_EQ(c->proof, chunk.proof);
-  EXPECT_EQ(c->leaf_count, 8u);
-}
-
-TEST(Wire, CheckpointRoundTripBothForms) {
-  proto::CheckpointMsg vote;
-  vote.sn = 50;
-  vote.state = digest_of(0x71);
-  vote.share = share_of(2, 0x72);
-  const auto v = round_trip_as(vote);
-  ASSERT_TRUE(v->share.has_value());
-  EXPECT_FALSE(v->signature.has_value());
-  EXPECT_EQ(*v->share, *vote.share);
-
-  proto::CheckpointMsg proof;
-  proof.sn = 50;
-  proof.state = digest_of(0x71);
-  proof.signature = tsig_of(0x73);
-  const auto p = round_trip_as(proof);
-  EXPECT_FALSE(p->share.has_value());
-  ASSERT_TRUE(p->signature.has_value());
-}
-
-TEST(Wire, TimeoutViewChangeNewViewRoundTrip) {
-  proto::TimeoutMsg timeout;
-  timeout.view = 4;
-  timeout.share = share_of(0, 0x81);
-  round_trip_as(timeout);
-
-  proto::ViewChangeMsg vc;
+  s.bft_block = proto::BftBlockMsg(std::move(block), share_of(1, 0xAB));
+  s.vote.round = 2;
+  s.vote.block_digest = digest_of(0x33);
+  s.vote.share = share_of(5, 0x44);
+  s.proof.round = 1;
+  s.proof.block_digest = digest_of(0x55);
+  s.proof.signature = tsig_of(0x66);
+  s.query.missing = {digest_of(0x10)};
+  s.chunk.datablock_hash = digest_of(0x21);
+  s.chunk.merkle_root = digest_of(0x22);
+  s.chunk.chunk_index = 3;
+  s.chunk.leaf_count = 8;
+  s.chunk.chunk = {1, 2, 3, 4, 5};
+  s.chunk.chunk_size = 5;
+  s.chunk.proof = {digest_of(0x23), digest_of(0x24), digest_of(0x25)};
+  s.checkpoint.sn = 50;
+  s.checkpoint.state = digest_of(0x71);
+  s.checkpoint.share = share_of(2, 0x72);
+  s.timeout.view = 4;
+  s.timeout.share = share_of(0, 0x81);
+  auto& vc = s.view_change;
   vc.new_view = 5;
   vc.checkpoint_sn = 20;
   vc.checkpoint_state = digest_of(0x91);
@@ -207,42 +151,267 @@ TEST(Wire, TimeoutViewChangeNewViewRoundTrip) {
   vc.notarized.push_back(nb);
   vc.sender_sig = share_of(3, 0x95);
   vc.sender = 3;
-  const auto v = round_trip_as(vc);
+  s.new_view.new_view = 5;
+  s.new_view.view_changes.push_back(vc);
+  s.new_view.leader_sig = share_of(1, 0x96);
+  auto& bb = s.baseline_block;
+  bb.view = 1;
+  bb.height = 12;
+  bb.parent = digest_of(0xA1);
+  bb.justify_target = digest_of(0xA2);
+  bb.justify_sig = tsig_of(0xA3);
+  bb.batch.push_back(request_of(7, 0, true));
+  bb.cached_digest = bb.compute_digest();  // as both proposers do
+  s.baseline_vote.phase = 2;
+  s.baseline_vote.view = 1;
+  s.baseline_vote.height = 12;
+  s.baseline_vote.block_digest = bb.cached_digest;
+  s.baseline_vote.share = share_of(2, 0xA4);
+  s.state_offer.kind = proto::StateOfferMsg::kOffer;
+  s.state_offer.transfer_id = 0xABCD1234u;
+  s.state_offer.from_index = 17;
+  s.state_offer.until_index = 42;
+  s.state_offer.exec_digest = digest_of(0x5A);
+  s.state_chunk.transfer_id = 99;
+  s.state_chunk.from_index = 3;
+  s.state_chunk.until_index = 9;
+  s.state_chunk.exec_digest = digest_of(0xC3);
+  s.state_chunk.chunk_index = 2;
+  s.state_chunk.data_shards = 2;
+  s.state_chunk.total_shards = 4;
+  s.state_chunk.chunk = {1, 2, 3, 4, 5};
+  return s;
+}
+
+}  // namespace
+
+TEST(Wire, ClientRequestRoundTrip) {
+  const auto msg = samples().request;
+  const auto decoded = round_trip_as(msg);
+  ASSERT_EQ(decoded->requests.size(), 2u);
+  EXPECT_EQ(decoded->requests[0].payload, msg.requests[0].payload);
+  EXPECT_EQ(decoded->requests[1].payload_size, 48u);
+  EXPECT_TRUE(decoded->requests[1].payload.empty());
+  // Sim-only metadata is re-stamped with the receiver's clock.
+  EXPECT_EQ(decoded->requests[0].submitted_at, 777);
+  // Identity-bearing fields survive exactly: digests match.
+  EXPECT_EQ(decoded->requests[0].digest(), msg.requests[0].digest());
+}
+
+TEST(Wire, AckRoundTrip) {
+  const auto msg = samples().ack;
+  const auto decoded = round_trip_as(msg);
+  EXPECT_EQ(decoded->client_id, 42u);
+  EXPECT_EQ(decoded->seqs, msg.seqs);
+}
+
+TEST(Wire, DatablockRoundTripRecomputesDigest) {
+  const auto msg = samples().datablock;
+  const auto decoded = round_trip_as(msg);
+  EXPECT_EQ(decoded->datablock.maker, 3u);
+  EXPECT_EQ(decoded->datablock.counter, 17u);
+  EXPECT_EQ(decoded->cached_digest, msg.cached_digest);  // recomputed, not relayed
+  EXPECT_EQ(decoded->created_at, 777);                   // receiver-stamped
+}
+
+TEST(Wire, ReadyRoundTrip) {
+  const auto msg = samples().ready;
+  const auto decoded = round_trip_as(msg);
+  EXPECT_EQ(decoded->datablock_hashes, msg.datablock_hashes);
+}
+
+TEST(Wire, BftBlockRoundTrip) {
+  const auto msg = samples().bft_block;
+  const auto decoded = round_trip_as(msg);
+  EXPECT_EQ(decoded->block.sn, 99u);
+  EXPECT_EQ(decoded->block.links.size(), 3u);
+  EXPECT_EQ(decoded->leader_share, msg.leader_share);
+  EXPECT_EQ(decoded->cached_digest, msg.cached_digest);
+}
+
+TEST(Wire, VoteAndProofRoundTrip) {
+  const auto s = samples();
+  const auto v = round_trip_as(s.vote);
+  EXPECT_EQ(v->round, 2);
+  EXPECT_EQ(v->share, s.vote.share);
+
+  const auto p = round_trip_as(s.proof);
+  EXPECT_EQ(p->signature, s.proof.signature);
+}
+
+TEST(Wire, QueryAndChunkResponseRoundTrip) {
+  const auto s = samples();
+  round_trip_as(s.query);
+
+  const auto c = round_trip_as(s.chunk);
+  EXPECT_EQ(c->chunk, s.chunk.chunk);
+  EXPECT_EQ(c->proof, s.chunk.proof);
+  EXPECT_EQ(c->leaf_count, 8u);
+}
+
+TEST(Wire, CheckpointRoundTripBothForms) {
+  const auto vote = samples().checkpoint;
+  const auto v = round_trip_as(vote);
+  ASSERT_TRUE(v->share.has_value());
+  EXPECT_FALSE(v->signature.has_value());
+  EXPECT_EQ(*v->share, *vote.share);
+
+  auto proof = vote;
+  proof.share.reset();
+  proof.signature = tsig_of(0x73);
+  const auto p = round_trip_as(proof);
+  EXPECT_FALSE(p->share.has_value());
+  ASSERT_TRUE(p->signature.has_value());
+}
+
+TEST(Wire, TimeoutViewChangeNewViewRoundTrip) {
+  const auto s = samples();
+  round_trip_as(s.timeout);
+
+  const auto v = round_trip_as(s.view_change);
   ASSERT_EQ(v->notarized.size(), 1u);
   EXPECT_EQ(v->notarized[0].block.sn, 21u);
   EXPECT_EQ(v->sender, 3u);
 
-  proto::NewViewMsg nv;
-  nv.new_view = 5;
-  nv.view_changes.push_back(vc);
-  nv.leader_sig = share_of(1, 0x96);
-  const auto n = round_trip_as(nv);
+  const auto n = round_trip_as(s.new_view);
   ASSERT_EQ(n->view_changes.size(), 1u);
   EXPECT_EQ(n->view_changes[0].checkpoint_sn, 20u);
 }
 
 TEST(Wire, BaselineMessagesRoundTrip) {
-  proto::BaselineBlockMsg block;
-  block.view = 1;
-  block.height = 12;
-  block.parent = digest_of(0xA1);
-  block.justify_target = digest_of(0xA2);
-  block.justify_sig = tsig_of(0xA3);
-  block.batch.push_back(request_of(7, 0, true));
-  block.cached_digest = block.compute_digest();  // as both proposers do
-  const auto b = round_trip_as(block);
-  EXPECT_EQ(b->cached_digest, block.cached_digest);  // recomputed on decode
+  const auto s = samples();
+  const auto b = round_trip_as(s.baseline_block);
+  EXPECT_EQ(b->cached_digest, s.baseline_block.cached_digest);  // recomputed on decode
   EXPECT_EQ(b->batch.size(), 1u);
 
-  proto::BaselineVoteMsg vote;
-  vote.phase = 2;
-  vote.view = 1;
-  vote.height = 12;
-  vote.block_digest = block.cached_digest;
-  vote.share = share_of(2, 0xA4);
-  const auto v = round_trip_as(vote);
+  const auto v = round_trip_as(s.baseline_vote);
   EXPECT_EQ(v->phase, 2);
   EXPECT_EQ(v->height, 12u);
+}
+
+namespace {
+
+/// A sample and a copy of it that differs in exactly one wired field.
+struct FieldEdit {
+  std::string field;
+  sim::PayloadPtr base;
+  sim::PayloadPtr edited;
+};
+
+template <typename T, typename Edit>
+FieldEdit field_edit(std::string field, const T& base, Edit edit) {
+  T copy = base;
+  edit(copy);
+  return {std::move(field), std::make_shared<const T>(base),
+          std::make_shared<const T>(std::move(copy))};
+}
+
+/// At least one edit per wire type, certificate fields, a baseline block's
+/// parent and request payload bytes among them.
+std::vector<FieldEdit> one_edit_per_wire_type() {
+  const auto s = samples();
+  return {
+      field_edit("ClientRequestMsg payload byte", s.request,
+                 [](auto& m) { m.requests[0].payload[7] ^= 1; }),
+      field_edit("AckMsg::client_id", s.ack, [](auto& m) { m.client_id = 43; }),
+      field_edit("DatablockMsg request payload byte", s.datablock,
+                 [](auto& m) {
+                   m.datablock.requests[0].payload[0] ^= 1;
+                   m.cached_digest = m.datablock.digest();
+                 }),
+      field_edit("ReadyMsg hash", s.ready, [](auto& m) { m.datablock_hashes[1] = digest_of(3); }),
+      field_edit("BftBlockMsg::leader_share", s.bft_block,
+                 [](auto& m) { m.leader_share.bytes[0] ^= 1; }),
+      field_edit("VoteMsg share signer", s.vote, [](auto& m) { m.share.signer = 6; }),
+      field_edit("ProofMsg::signature", s.proof, [](auto& m) { m.signature.bytes[5] ^= 1; }),
+      field_edit("QueryMsg::missing", s.query, [](auto& m) { m.missing[0] = digest_of(0x11); }),
+      field_edit("ChunkResponseMsg::proof", s.chunk, [](auto& m) { m.proof[1] = digest_of(0x26); }),
+      field_edit("CheckpointMsg share signer", s.checkpoint, [](auto& m) { m.share->signer = 3; }),
+      field_edit("TimeoutMsg::view", s.timeout, [](auto& m) { m.view = 5; }),
+      field_edit("ViewChangeMsg::checkpoint_proof", s.view_change,
+                 [](auto& m) { m.checkpoint_proof.bytes[0] ^= 1; }),
+      field_edit("NewViewMsg inner checkpoint_state", s.new_view,
+                 [](auto& m) { m.view_changes[0].checkpoint_state = digest_of(0x97); }),
+      field_edit("BaselineBlockMsg::parent", s.baseline_block,
+                 [](auto& m) { m.parent = digest_of(0xB1); }),
+      field_edit("BaselineBlockMsg::justify_target", s.baseline_block,
+                 [](auto& m) { m.justify_target = digest_of(0xB2); }),
+      field_edit("BaselineBlockMsg::view", s.baseline_block, [](auto& m) { m.view = 2; }),
+      field_edit("BaselineVoteMsg::view", s.baseline_vote, [](auto& m) { m.view = 2; }),
+      field_edit("StateOfferMsg::transfer_id", s.state_offer, [](auto& m) { m.transfer_id = 10; }),
+      field_edit("StateChunkMsg::chunk", s.state_chunk, [](auto& m) { m.chunk[2] ^= 1; }),
+  };
+}
+
+}  // namespace
+
+TEST(Wire, FingerprintSeesEveryWiredField) {
+  // The trace fingerprint is the digest of the wire frame, so two messages
+  // that differ in any field a peer can send must fingerprint differently.
+  std::set<net::MsgType> types;
+  for (const auto& e : one_edit_per_wire_type()) {
+    const auto type = net::type_of(*e.base);
+    ASSERT_TRUE(type.has_value()) << e.field;
+    types.insert(*type);
+    EXPECT_NE(protocol::payload_fingerprint(*e.base), protocol::payload_fingerprint(*e.edited))
+        << e.field;
+    // Sim-only metadata is not content: a decoded copy fingerprints alike.
+    EXPECT_EQ(protocol::payload_fingerprint(*round_trip(*e.base)),
+              protocol::payload_fingerprint(*e.base))
+        << e.field;
+  }
+  EXPECT_EQ(types.size(), 17u) << "every payload wire type must be sampled";
+}
+
+TEST(Wire, FieldCorruptionDeliversADecodedOneBitFlipOrNothing) {
+  // kFieldCorruption through the mutator's public API, on a one-step trace
+  // of each wire type: some flip must decode to a different message of the
+  // same type, and a flip that does not decode must leave the step
+  // delivered and unchanged.
+  std::set<net::MsgType> seen;
+  std::size_t undecodable = 0;
+  for (const auto& e : one_edit_per_wire_type()) {
+    const auto type = *net::type_of(*e.base);
+    if (!seen.insert(type).second) continue;
+    protocol::TraceStep original;
+    original.at = 5 * sim::kMillisecond;
+    if (type == net::MsgType::kClientRequest) {
+      original.event = protocol::ClientRequest{
+          7, std::static_pointer_cast<const proto::ClientRequestMsg>(e.base)};
+    } else {
+      original.event = protocol::MessageIn{7, e.base};
+    }
+
+    bool changed = false;
+    for (std::uint64_t param = 0; param < 64; ++param) {
+      chaos::MutationPlan plan;
+      plan.ops.push_back({chaos::MutationClass::kFieldCorruption, 0, param});
+      auto filter = chaos::TraceMutator(/*sweep_seed=*/1, /*n_replicas=*/4).make_filter(plan);
+      protocol::TraceStep step = original;
+      ASSERT_TRUE(filter(step)) << e.field << ": corruption must never drop";
+      EXPECT_EQ(step.at, original.at);
+      protocol::NodeId from = 0;
+      sim::PayloadPtr delivered;
+      if (const auto* cr = std::get_if<protocol::ClientRequest>(&step.event)) {
+        from = cr->from;
+        delivered = cr->request;
+      } else if (const auto* in = std::get_if<protocol::MessageIn>(&step.event)) {
+        from = in->from;
+        delivered = in->payload;
+      }
+      EXPECT_EQ(from, 7u);
+      if (delivered == e.base) {
+        ++undecodable;  // a no-op: the step is exactly the original
+        continue;
+      }
+      ASSERT_NE(delivered, nullptr);
+      EXPECT_EQ(net::type_of(*delivered), type) << e.field << " param " << param;
+      changed |= protocol::payload_fingerprint(*delivered) != protocol::payload_fingerprint(*e.base);
+    }
+    EXPECT_TRUE(changed) << e.field << ": no flip reached the message's content";
+  }
+  EXPECT_EQ(seen.size(), 17u);
+  EXPECT_GT(undecodable, 0u) << "a flip of a count field must fail to decode";
 }
 
 TEST(Wire, HelloRoundTripAndBadMagic) {
@@ -390,12 +559,8 @@ TEST(Wire, DrainsMultipleFramesFromOneFeed) {
 TEST(Wire, StateOfferRoundTripAllKinds) {
   for (const auto kind : {proto::StateOfferMsg::kProbe, proto::StateOfferMsg::kOffer,
                           proto::StateOfferMsg::kPull}) {
-    proto::StateOfferMsg msg;
+    auto msg = samples().state_offer;
     msg.kind = kind;
-    msg.transfer_id = 0xABCD1234u;
-    msg.from_index = 17;
-    msg.until_index = 42;
-    msg.exec_digest = digest_of(0x5A);
     const auto decoded = round_trip_as(msg);
     ASSERT_NE(decoded, nullptr);
     EXPECT_EQ(decoded->kind, kind);
@@ -418,15 +583,7 @@ TEST(Wire, StateOfferUnknownKindIsRejected) {
 }
 
 TEST(Wire, StateChunkRoundTrip) {
-  proto::StateChunkMsg msg;
-  msg.transfer_id = 99;
-  msg.from_index = 3;
-  msg.until_index = 9;
-  msg.exec_digest = digest_of(0xC3);
-  msg.chunk_index = 2;
-  msg.data_shards = 2;
-  msg.total_shards = 4;
-  msg.chunk = {1, 2, 3, 4, 5};
+  const auto msg = samples().state_chunk;
   const auto decoded = round_trip_as(msg);
   ASSERT_NE(decoded, nullptr);
   EXPECT_EQ(decoded->transfer_id, 99u);
