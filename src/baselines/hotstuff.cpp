@@ -126,7 +126,16 @@ void HotStuffReplica::handle_block(ReplicaId from,
          costs().block_per_request * static_cast<sim::SimTime>(msg->batch.size()));
   if (msg->height > 1 && !ts_.verify(msg->justify_target, msg->justify_sig)) return;
 
+  // The block must extend this replica's own chain: its parent is the block
+  // held at height − 1 (none below height 1) and its QC certifies that
+  // parent. One vote per height.
   const auto height = msg->height;
+  if (height == 0 || chain_.contains(height) || msg->justify_target != msg->parent) return;
+  const auto parent = chain_.find(height - 1);
+  const bool extends_own = height == 1 ? msg->parent == Digest{}
+                                       : parent != chain_.end() &&
+                                             parent->second->cached_digest == msg->parent;
+  if (!extends_own) return;
   chain_.emplace(height, std::move(msg));
 
   // Vote for the block (threshold share to the leader).

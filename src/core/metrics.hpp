@@ -36,6 +36,14 @@ struct ProtocolMetrics {
   std::uint64_t datablocks_recovered = 0;
   double recovery_time_sum_sec = 0;  // query sent → datablock decoded
 
+  // Leader proposals by trigger, and stable-checkpoint adoptions by whether
+  // the adopting replica executed the range or skipped it.
+  std::uint64_t proposals_full = 0;
+  std::uint64_t proposals_idle = 0;
+  std::uint64_t proposals_timer = 0;
+  std::uint64_t checkpoints_caught_up = 0;
+  std::uint64_t checkpoints_skipped = 0;
+
   // View-change (Fig. 13).
   std::uint32_t view_changes_completed = 0;
   sim::SimTime vc_triggered_at = -1;

@@ -326,15 +326,27 @@ void LeopardReplica::leader_promote_if_ready(const Digest& digest) {
   maybe_propose();
 }
 
+bool LeopardReplica::pipeline_idle() const {
+  return std::none_of(instances_.begin(), instances_.end(), [this](const auto& entry) {
+    const Instance& inst = entry.second;
+    return inst.have_block && inst.proposed_view == view_ && !inst.confirmed;
+  });
+}
+
 void LeopardReplica::maybe_propose() {
   if (leader_of(view_) != id_ || in_view_change_ || crashed()) return;
-  const auto batch = static_cast<std::ptrdiff_t>(cfg_.bftblock_links);
-  while (next_sn_ <= lw_ + cfg_.max_parallel_instances &&
-         ready_queue_.size() >= cfg_.bftblock_links) {
-    std::vector<Digest> links(ready_queue_.begin(), ready_queue_.begin() + batch);
-    ready_queue_.erase(ready_queue_.begin(), ready_queue_.begin() + batch);
-    oldest_ready_at_ = now();
-    propose(std::move(links));
+  // A full batch of τ links goes out at once. So does a partial one while
+  // no proposal of this view awaits confirmation: batching only spreads the
+  // per-block cost when the leader is busy, and on an idle pipeline it would
+  // add proposal_max_wait to every request. on_confirmed re-checks.
+  while (next_sn_ <= lw_ + cfg_.max_parallel_instances && !ready_queue_.empty()) {
+    if (ready_queue_.size() >= cfg_.bftblock_links) {
+      propose_ready(Metric::kProposalFull);
+    } else if (pipeline_idle()) {
+      propose_ready(Metric::kProposalIdle);
+    } else {
+      return;
+    }
   }
 }
 
@@ -342,19 +354,19 @@ void LeopardReplica::proposal_flush_tick() {
   if (!crashed() && leader_of(view_) == id_ && !in_view_change_ && !ready_queue_.empty() &&
       next_sn_ <= lw_ + cfg_.max_parallel_instances &&
       now() - oldest_ready_at_ >= cfg_.proposal_max_wait) {
-    const auto take = std::min<std::size_t>(ready_queue_.size(), cfg_.bftblock_links);
-    std::vector<Digest> links(ready_queue_.begin(),
-                              ready_queue_.begin() + static_cast<std::ptrdiff_t>(take));
-    ready_queue_.erase(ready_queue_.begin(),
-                       ready_queue_.begin() + static_cast<std::ptrdiff_t>(take));
-    oldest_ready_at_ = now();
-    propose(std::move(links));
+    propose_ready(Metric::kProposalTimer);
   }
   env().set_timer(token_of(TimerKind::kProposalFlush),
                   std::max<sim::SimTime>(cfg_.proposal_max_wait / 4, sim::kMillisecond));
 }
 
-void LeopardReplica::propose(std::vector<Digest> links) {
+void LeopardReplica::propose_ready(Metric trigger) {
+  const auto take = static_cast<std::ptrdiff_t>(
+      std::min<std::size_t>(ready_queue_.size(), cfg_.bftblock_links));
+  std::vector<Digest> links(ready_queue_.begin(), ready_queue_.begin() + take);
+  ready_queue_.erase(ready_queue_.begin(), ready_queue_.begin() + take);
+  oldest_ready_at_ = now();
+  env().metric(trigger, 1);
   propose_block(next_sn_++, std::move(links));
 }
 
@@ -601,6 +613,7 @@ void LeopardReplica::on_confirmed(SeqNum sn) {
   mark_confirmed(sn, inst.digest);
   last_progress_at_ = now();
   execute_ready_blocks();
+  maybe_propose();  // the pipeline may have drained
 }
 
 // ---------------------------------------------------------------------------
@@ -628,6 +641,10 @@ void LeopardReplica::execute_ready_blocks() {
     if (!have_all) return;
     execute_block(inst);
     ++exec_sn_;
+    if (exec_sn_ == lw_) {  // caught up to a checkpoint adopted while behind
+      util::ensures(state_digest_ == checkpoint_state_,
+                    "executed state differs from the stable checkpoint's");
+    }
     maybe_checkpoint();
   }
 }
@@ -695,7 +712,7 @@ void LeopardReplica::execute_block(Instance& inst) {
 void LeopardReplica::maybe_checkpoint() {
   const auto interval = cfg_.checkpoint_interval();
   if (interval == 0 || exec_sn_ == 0 || exec_sn_ % interval != 0) return;
-  if (in_view_change_) return;
+  if (in_view_change_ || exec_sn_ <= lw_) return;  // already stable
 
   util::ByteWriter w;
   w.str("leopard.checkpoint");
@@ -769,12 +786,26 @@ void LeopardReplica::adopt_checkpoint(SeqNum sn, const Digest& state,
   checkpoint_state_ = state;
   checkpoint_proof_ = proof;
 
-  if (exec_sn_ < sn) {
+  // A replica behind sn executes (exec_sn_, sn] itself when it has confirmed
+  // every instance there and the range starts at most one interval back:
+  // holders garbage-collect one interval behind their stable checkpoint, so
+  // the datablocks it still retrieves stay available. It advances lw_ but
+  // not exec_sn_, and execute_ready_blocks checks the state it reaches at sn
+  // against the certified one.
+  const auto interval = cfg_.checkpoint_interval();
+  bool catch_up = exec_sn_ + interval >= sn;
+  for (SeqNum s = exec_sn_ + 1; catch_up && s <= sn; ++s) {
+    const auto it = instances_.find(s);
+    catch_up = it != instances_.end() && it->second.confirmed;
+  }
+  env().metric(catch_up ? Metric::kCheckpointCaughtUp : Metric::kCheckpointSkipped, 1);
+
+  if (!catch_up) {
     // PBFT-style state transfer: the stable checkpoint proves 2f+1 replicas
-    // executed through sn. A lagging replica (e.g., one that lost the
-    // retrieval race for a Byzantine maker's datablock) adopts the certified
-    // state instead of stalling forever on data peers may since have
-    // garbage-collected.
+    // executed through sn. A replica too far behind to execute the range
+    // adopts the certified state instead of stalling forever on data peers
+    // may since have garbage-collected (a node with a data dir fills the
+    // skipped Execute stream through StateSync at its next start).
     exec_sn_ = sn;
     state_digest_ = state;
     for (auto it = instances_.begin(); it != instances_.end() && it->first <= sn;) {
@@ -798,7 +829,6 @@ void LeopardReplica::adopt_checkpoint(SeqNum sn, const Digest& state,
   // Garbage-collect one checkpoint interval BEHIND the stable checkpoint so
   // lagging replicas retain a full window to retrieve datablocks before the
   // holders drop them.
-  const auto interval = cfg_.checkpoint_interval();
   garbage_collect(lw_ > interval ? lw_ - interval : 0);
   maybe_propose();  // the watermark window just advanced
 }
@@ -1164,6 +1194,8 @@ void LeopardReplica::adopt_new_view(const proto::NewViewMsg& msg) {
     ready_votes_.clear();
     ready_queue_.clear();
     queued_or_linked_.clear();
+    // Fresh proposals from the rebuilt ready state start above the redo.
+    next_sn_ = std::max<SeqNum>(next_sn_, max_sn + 1);
     // Links of every surviving instance — executed, confirmed, or about to be
     // redone — must never be linked a second time: peers may already have
     // garbage-collected those datablocks, so a proposal relinking them could
@@ -1174,7 +1206,6 @@ void LeopardReplica::adopt_new_view(const proto::NewViewMsg& msg) {
     for (const auto& [digest, db] : pool_) leader_note_ready(id_, digest);
 
     // Redo the agreement for every undecided slot; fill gaps with dummies.
-    next_sn_ = std::max<SeqNum>(next_sn_, max_sn + 1);
     for (SeqNum sn = max_lw + 1; sn <= max_sn; ++sn) {
       const auto r = redo.find(sn);
       std::vector<Digest> links;

@@ -180,8 +180,12 @@ class LeopardReplica final : public protocol::ProtocolBase {
   // -- Leader: ready round and proposals (Algorithms 2, 3) -------------------
   void leader_note_ready(proto::ReplicaId from, const crypto::Digest& digest);
   void leader_promote_if_ready(const crypto::Digest& digest);
+  /// True when no instance proposed in the current view awaits confirmation.
+  [[nodiscard]] bool pipeline_idle() const;
   void maybe_propose();
-  void propose(std::vector<crypto::Digest> links);
+  /// Proposes up to τ links from the front of the ready queue; `trigger`
+  /// (kProposalFull/Idle/Timer) counts why.
+  void propose_ready(protocol::Metric trigger);
   void propose_block(proto::SeqNum sn, std::vector<crypto::Digest> links);
   void proposal_flush_tick();
   void leader_install_proposal(const proto::BftBlockMsg& msg);

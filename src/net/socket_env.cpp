@@ -943,6 +943,22 @@ void SocketEnv::register_observability(obs::Registry& registry) {
   registry.counter_fn("leopard_datablocks_recovered_total",
                       "Datablocks reconstructed via erasure retrieval", {},
                       [this] { return static_cast<double>(metrics_.datablocks_recovered); });
+  const auto core_counter = [&](const char* name, const char* help, const std::string& labels,
+                                const std::uint64_t* field) {
+    registry.counter_fn(name, help, labels, [field] { return static_cast<double>(*field); });
+  };
+  core_counter("leopard_proposals_total", "Leader proposals, by trigger", "trigger=\"full\"",
+               &metrics_.proposals_full);
+  core_counter("leopard_proposals_total", "Leader proposals, by trigger", "trigger=\"idle\"",
+               &metrics_.proposals_idle);
+  core_counter("leopard_proposals_total", "Leader proposals, by trigger", "trigger=\"timer\"",
+               &metrics_.proposals_timer);
+  core_counter("leopard_checkpoint_adoptions_total",
+               "Stable checkpoints adopted: executed through, or skipped to", "kind=\"caught_up\"",
+               &metrics_.checkpoints_caught_up);
+  core_counter("leopard_checkpoint_adoptions_total",
+               "Stable checkpoints adopted: executed through, or skipped to", "kind=\"skipped\"",
+               &metrics_.checkpoints_skipped);
   registry.gauge_fn("leopard_safety_violation",
                     "1 if this node ever observed conflicting confirmations", {},
                     [this] { return metrics_.safety_violation ? 1.0 : 0.0; });

@@ -58,8 +58,9 @@ Datablock Datablock::decode(util::ByteReader& r) {
 }
 
 crypto::Digest Datablock::digest() const {
-  // Digest-of-digests keeps hashing cost proportional to the request count,
-  // not the payload bytes, while remaining collision resistant.
+  // Digest-of-digests: each Request::digest hashes that request's payload,
+  // so the total hashing cost grows with the payload bytes; the outer hash
+  // adds 32 bytes per request on top.
   util::ByteWriter w(16 + 32 * requests.size());
   w.u32(maker);
   w.u64(counter);
@@ -100,8 +101,12 @@ crypto::Digest BftBlock::digest() const {
 }
 
 crypto::Digest BaselineBlockMsg::compute_digest() const {
-  util::ByteWriter w(16 + 32 * batch.size());
+  util::ByteWriter w(12 + 3 * 32 + crypto::ThresholdSignature::kWireSize + 32 * batch.size());
+  w.u32(view);
   w.u64(height);
+  w.raw(parent.bytes());
+  w.raw(justify_target.bytes());
+  w.raw(justify_sig.bytes);
   for (const auto& r : batch) w.raw(r.digest().bytes());
   return crypto::Digest::of(w.bytes());
 }

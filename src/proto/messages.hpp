@@ -305,8 +305,9 @@ struct BaselineBlockMsg final : sim::Payload {
     return sim::Component::kDatablock;  // request dissemination traffic
   }
 
-  /// The digest proposers cache and voters target: identity +
-  /// digest-of-digests over the batch (like Leopard datablocks). ONE
+  /// The digest proposers cache and voters target: view, height, the chain
+  /// link (parent, justify QC) and the digest-of-digests over the batch, so
+  /// two blocks at one height on different parents never share a vote. ONE
   /// definition shared by both baseline proposers and the wire decoder, so
   /// a formula change cannot diverge between simulated and socket runs.
   [[nodiscard]] crypto::Digest compute_digest() const;

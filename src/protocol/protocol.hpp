@@ -91,6 +91,15 @@ enum class Metric : std::uint8_t {
   kVcCompletedAt,   // value: absolute time (SimTime as double)
   kSafetyViolation, // value ignored
   kAckLatencySample, // value: one submit→ack latency observation in seconds
+  // Leader proposals by trigger: τ links ready, an idle pipeline, or the
+  // proposal_max_wait timer.
+  kProposalFull,
+  kProposalIdle,
+  kProposalTimer,
+  // Stable-checkpoint adoptions: executed through it (or executing the
+  // range it still can), or skipped to the certified state.
+  kCheckpointCaughtUp,
+  kCheckpointSkipped,
 };
 
 /// Point-to-point send to `to`.

@@ -55,6 +55,21 @@ void apply_metrics_update(core::ProtocolMetrics& metrics, const MetricsUpdate& u
     case Metric::kAckLatencySample:
       metrics.record_ack_latency(update.value);
       break;
+    case Metric::kProposalFull:
+      ++metrics.proposals_full;
+      break;
+    case Metric::kProposalIdle:
+      ++metrics.proposals_idle;
+      break;
+    case Metric::kProposalTimer:
+      ++metrics.proposals_timer;
+      break;
+    case Metric::kCheckpointCaughtUp:
+      ++metrics.checkpoints_caught_up;
+      break;
+    case Metric::kCheckpointSkipped:
+      ++metrics.checkpoints_skipped;
+      break;
   }
 }
 

@@ -7,6 +7,7 @@
 #include "baselines/hotstuff.hpp"
 #include "baselines/pbft.hpp"
 #include "harness/sim_cluster.hpp"
+#include "protocol/replay.hpp"
 
 using namespace leopard;
 
@@ -29,6 +30,26 @@ harness::SimClusterConfig baseline_opts(const Config& cfg, double rate) {
   o.seed = 11;
   o.clients = {harness::ClientGroup{client, /*target=*/0, /*avoid: none*/ cfg.n, 77}};
   return o;
+}
+
+/// A HotStuff proposal at `height` extending `parent`, whose justify QC is
+/// signed by replicas 0..2 of `ts` over `parent`.
+std::shared_ptr<proto::BaselineBlockMsg> hotstuff_block(const crypto::ThresholdScheme& ts,
+                                                        proto::SeqNum height,
+                                                        const crypto::Digest& parent) {
+  auto block = std::make_shared<proto::BaselineBlockMsg>();
+  block->view = 1;
+  block->height = height;
+  block->parent = parent;
+  block->justify_target = parent;
+  if (height > 1) {
+    std::vector<crypto::SignatureShare> shares;
+    for (std::uint32_t i = 0; i < 3; ++i) shares.push_back(ts.sign_share(i, parent));
+    block->justify_sig = *ts.combine(parent, shares);
+  }
+  block->batch.resize(2);
+  block->cached_digest = block->compute_digest();
+  return block;
 }
 
 }  // namespace
@@ -97,6 +118,59 @@ TEST(HotStuff, LeaderSendsEveryRequestToAllReplicas) {
   // Eq. (1): ≈ executed × payload × (n−1) bytes, plus headers/partial blocks.
   const double expected = static_cast<double>(executed) * cfg.payload_size * 3;
   EXPECT_GT(static_cast<double>(leader_sent), 0.9 * expected);
+}
+
+TEST(HotStuff, BlockDigestBindsTheChain) {
+  const crypto::ThresholdScheme ts(4, 3, 5);
+  const auto a = hotstuff_block(ts, 2, crypto::Digest::of_string("parent a"));
+  const auto b = hotstuff_block(ts, 2, crypto::Digest::of_string("parent b"));
+  EXPECT_NE(a->cached_digest, b->cached_digest);
+
+  // Each chain field on its own changes the digest.
+  auto c = *a;
+  c.view = 2;
+  EXPECT_NE(c.compute_digest(), a->cached_digest);
+  c = *a;
+  c.justify_target = crypto::Digest::of_string("other");
+  EXPECT_NE(c.compute_digest(), a->cached_digest);
+  c = *a;
+  c.justify_sig = b->justify_sig;
+  EXPECT_NE(c.compute_digest(), a->cached_digest);
+}
+
+TEST(HotStuff, VotesOnlyForBlocksExtendingItsChain) {
+  // A follower gets height 1, then a height-2 block whose parent (with a
+  // valid QC over it) is not its own height-1 block, then the honest
+  // height-2 block. Only the first and the last get its vote.
+  baselines::HotStuffConfig cfg;
+  const crypto::ThresholdScheme ts(cfg.n, cfg.quorum(), 5);
+  const auto first = hotstuff_block(ts, 1, {});
+  const auto forked = hotstuff_block(ts, 2, crypto::Digest::of_string("not my block"));
+  const auto honest = hotstuff_block(ts, 2, first->cached_digest);
+
+  protocol::Trace script;
+  for (const auto& block : {first, forked, honest}) {
+    script.steps.push_back({0, protocol::MessageIn{0, block}, {}});
+  }
+  HotStuffReplica follower(cfg, ts, 1);
+  protocol::ReplayEnv env;
+  const auto out = env.replay(follower, script);
+  ASSERT_EQ(out.steps.size(), 3u);
+
+  const auto vote_of = [](const protocol::TraceStep& step) -> const proto::BaselineVoteMsg* {
+    for (const auto& action : step.actions) {
+      const auto* send = std::get_if<protocol::Send>(&action);
+      if (send == nullptr) continue;
+      if (const auto* v = dynamic_cast<const proto::BaselineVoteMsg*>(send->payload.get())) {
+        return v;
+      }
+    }
+    return nullptr;
+  };
+  ASSERT_NE(vote_of(out.steps[0]), nullptr);
+  EXPECT_EQ(vote_of(out.steps[1]), nullptr) << "voted for a block off its chain";
+  ASSERT_NE(vote_of(out.steps[2]), nullptr);
+  EXPECT_EQ(vote_of(out.steps[2])->block_digest, honest->cached_digest);
 }
 
 TEST(Pbft, CommitsAndExecutes) {

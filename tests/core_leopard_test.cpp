@@ -3,6 +3,8 @@
 // view-change (Appendix A), and safety/liveness invariants under faults.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cluster_fixture.hpp"
 
 using namespace leopard;
@@ -157,6 +159,86 @@ TEST(LeopardRetrieval, IgnoringQueriesDoesNotBlockRecovery) {
   // f+1 = 2 honest holders still answer; recovery succeeds.
   EXPECT_GT(cluster.metrics().datablocks_recovered, 0u);
   EXPECT_GT(cluster.metrics().executed_requests, 500u);
+}
+
+TEST(LeopardRetrieval, LaggingReplicaExecutesCheckpointedRange) {
+  // Replica 3 starves replica 2 of its datablocks and checkpoints come every
+  // four blocks, so replica 2 adopts stable checkpoints while it still
+  // retrieves. It must execute that range rather than skip it: after the
+  // load stops, every honest replica has executed the same requests.
+  auto opts = small_opts();
+  protocol_of(opts).max_parallel_instances = 8;
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[3].selective_recipients = 2;
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  for (auto& g : opts.clients) g.cfg.stop_at = sim::from_seconds(2.0);
+  harness::SimCluster cluster(opts);
+  cluster.run_for(4.0);
+
+  ASSERT_GT(cluster.metrics().datablocks_recovered, 0u);
+  ASSERT_GT(cluster.replica(2).low_watermark(), 0u);
+  const auto& reference = cluster.replica(0);
+  for (const std::uint32_t id : {1u, 2u}) {
+    EXPECT_EQ(cluster.replica(id).executed_request_count(), reference.executed_request_count())
+        << "replica " << id;
+    EXPECT_EQ(cluster.replica(id).executed_through(), reference.executed_through())
+        << "replica " << id;
+    EXPECT_EQ(cluster.replica(id).state_digest(), reference.state_digest()) << "replica " << id;
+  }
+  EXPECT_GT(cluster.metrics().checkpoints_caught_up, 0u);
+  EXPECT_EQ(cluster.metrics().checkpoints_skipped, 0u);
+}
+
+TEST(LeopardProposals, IdlePipelineProposesWithoutWaiting) {
+  // Light load with a one-second proposal wait: while no proposal is in
+  // flight the leader proposes its partial ready queue at once, so no
+  // request waits for proposal_max_wait.
+  auto opts = small_opts(4, 30);
+  auto& protocol = protocol_of(opts);
+  protocol.bftblock_links = 16;
+  protocol.datablock_max_wait = 10 * sim::kMillisecond;
+  protocol.proposal_max_wait = 1 * sim::kSecond;
+  for (auto& g : opts.clients) g.cfg.stop_at = sim::from_seconds(2.0);
+  harness::SimCluster cluster(opts);
+  cluster.run_for(3.0);
+
+  std::uint64_t submitted = 0;
+  for (std::size_t i = 0; i < cluster.client_count(); ++i) submitted += cluster.client(i).submitted();
+  const auto& m = cluster.metrics();
+  ASSERT_GT(submitted, 100u);
+  EXPECT_EQ(m.acked_requests, submitted);
+  EXPECT_LT(m.latency_hist.max(), static_cast<std::uint64_t>(100 * sim::kMillisecond));
+  EXPECT_GT(m.proposals_idle, 0u);
+  EXPECT_EQ(m.proposals_timer, 0u);
+}
+
+TEST(LeopardProposals, BacklogKeepsBftblocksFull) {
+  // Offered load above what this cluster confirms (~110 kreq/s), on top of
+  // a standing backlog: the pipeline never drains, so proposals keep
+  // batching τ links and after warm-up the mean links per executed
+  // BFTblock stays near τ.
+  constexpr std::uint32_t kTau = 8;
+  auto opts = small_opts();
+  protocol_of(opts).bftblock_links = kTau;
+  for (auto& g : opts.clients) {
+    g.cfg.request_rate = 30000;
+    g.cfg.initial_backlog = 12000;
+  }
+  opts.record = true;
+  harness::SimCluster cluster(opts);
+  cluster.run_for(1.0);
+  const auto warm = cluster.replica(0).executed_through();
+  cluster.run_for(2.0);
+
+  std::set<proto::SeqNum> blocks;
+  std::size_t links = 0;
+  for (const auto& r : chaos::execute_stream(cluster.trace(0))) {
+    if (r.seq <= warm) continue;
+    blocks.insert(r.seq);
+    ++links;
+  }
+  ASSERT_GT(blocks.size(), 20u);
+  EXPECT_GE(static_cast<double>(links) / static_cast<double>(blocks.size()), 0.9 * kTau);
 }
 
 TEST(LeopardViewChange, SilentLeaderIsReplaced) {

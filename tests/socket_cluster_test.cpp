@@ -189,6 +189,7 @@ void expect_cluster_commits(const std::string& protocol) {
   auto manifest = test_manifest(protocol);
   manifest.encode_workers = 3;
   const auto reports = expect_commits(manifest, {1, 1, 1, 4});
+  std::uint64_t proposals = 0;
   for (std::size_t id = 0; id < 4; ++id) {
     // One shard: the sequencer passes records through, so the stall tick
     // never puts filler requests into the executed stream.
@@ -196,7 +197,17 @@ void expect_cluster_commits(const std::string& protocol) {
     EXPECT_EQ(reports[id].at("io_threads"), "1") << "replica " << id;
     if (protocol == "leopard") {
       EXPECT_EQ(reports[id].at("state_digest"), reports[0].at("state_digest"));
+      // A quiet run never skips a checkpointed range.
+      EXPECT_EQ(reports[id].at("leopard_checkpoint_adoptions_total{kind:skipped}"), "0")
+          << "replica " << id;
+      for (const char* trigger : {"full", "idle", "timer"}) {
+        proposals += std::stoull(
+            reports[id].at(std::string("leopard_proposals_total{trigger:") + trigger + "}"));
+      }
     }
+  }
+  if (protocol == "leopard") {
+    EXPECT_GT(proposals, 0u) << "no proposal was counted";
   }
 }
 

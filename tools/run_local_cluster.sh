@@ -140,16 +140,31 @@ if [ "$USE_PROXY" = 1 ]; then
   wait "$(cat "$WORK/proxy.pid")" 2>/dev/null || true
   grep -h "role=chaos_proxy" "$WORK/proxy.out" || true
 fi
-for id in 0 1 2 3; do kill -TERM "$(cat "$WORK/replica$id.pid")"; done
-for id in 0 1 2 3; do wait "$(cat "$WORK/replica$id.pid")" || { echo "FAIL: replica $id unclean exit"; exit 1; }; done
 
 # A byzantine replica is allowed to diverge (it lies to itself too); honest
 # replicas must agree.
-HONEST_OUTS=()
+HONEST_IDS=()
 for id in 0 1 2 3; do
   if [ -n "$BYZ_MODE" ] && [ "$id" = "$BYZ_ID" ]; then continue; fi
-  HONEST_OUTS+=("$WORK/replica$id.out")
+  HONEST_IDS+=("$id")
 done
+
+# The last ack proves only that its maker executed. A replica still
+# retrieving a withheld datablock executes it a little later, so wait (up
+# to 10 s) until every honest replica reports the same executed block count.
+for attempt in $(seq 1 100); do
+  COUNTS=$(for id in "${HONEST_IDS[@]}"; do
+    curl -sf --max-time 1 "http://127.0.0.1:$(( PORT_BASE + 100 + id ))/statusz" \
+      | grep -o '"executed_blocks": *[0-9]*' || echo "none $id"
+  done | sort -u)
+  [ "$(echo "$COUNTS" | wc -l)" -eq 1 ] && break
+  sleep 0.1
+done
+for id in 0 1 2 3; do kill -TERM "$(cat "$WORK/replica$id.pid")"; done
+for id in 0 1 2 3; do wait "$(cat "$WORK/replica$id.pid")" || { echo "FAIL: replica $id unclean exit"; exit 1; }; done
+
+HONEST_OUTS=()
+for id in "${HONEST_IDS[@]}"; do HONEST_OUTS+=("$WORK/replica$id.out"); done
 DIGESTS=$(grep -ho "exec_digest=[0-9a-f]*" "${HONEST_OUTS[@]}" | sort -u)
 echo "$DIGESTS"
 [ "$(echo "$DIGESTS" | wc -l)" -eq 1 ] || { echo "FAIL: replica digests diverged"; exit 1; }
