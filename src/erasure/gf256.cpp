@@ -76,10 +76,6 @@ Gf Gf256::pow(Gf a, unsigned e) {
 Gf256::BulkTables::BulkTables() {
   for (int c = 0; c < 256; ++c) {
     const auto coef = static_cast<Gf>(c);
-    for (int x = 0; x < 256; ++x) {
-      mul[static_cast<std::size_t>(c) * 256 + static_cast<std::size_t>(x)] =
-          Gf256::mul(coef, static_cast<Gf>(x));
-    }
     for (int i = 0; i < 16; ++i) {
       nib[static_cast<std::size_t>(c) * 32 + static_cast<std::size_t>(i)] =
           Gf256::mul(coef, static_cast<Gf>(i));
@@ -110,10 +106,6 @@ const Gf256::BulkTables& Gf256::bulk_tables() {
   return t;
 }
 
-const std::uint8_t* Gf256::mul_row_table(Gf c) {
-  return bulk_tables().mul.data() + static_cast<std::size_t>(c) * 256;
-}
-
 const std::uint8_t* Gf256::nibble_table(Gf c) {
   return bulk_tables().nib.data() + static_cast<std::size_t>(c) * 32;
 }
@@ -139,47 +131,9 @@ void xor_row(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-// Per-coefficient product table, 8 bytes per iteration: one 64-bit load feeds
-// eight table lookups whose results are packed and XOR-stored as one word.
-void mul_add_row_scalar64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                          const std::uint8_t* table) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t s;
-    std::memcpy(&s, src + i, 8);
-    std::uint64_t r = table[s & 0xFF];
-    r |= static_cast<std::uint64_t>(table[(s >> 8) & 0xFF]) << 8;
-    r |= static_cast<std::uint64_t>(table[(s >> 16) & 0xFF]) << 16;
-    r |= static_cast<std::uint64_t>(table[(s >> 24) & 0xFF]) << 24;
-    r |= static_cast<std::uint64_t>(table[(s >> 32) & 0xFF]) << 32;
-    r |= static_cast<std::uint64_t>(table[(s >> 40) & 0xFF]) << 40;
-    r |= static_cast<std::uint64_t>(table[(s >> 48) & 0xFF]) << 48;
-    r |= static_cast<std::uint64_t>(table[(s >> 56) & 0xFF]) << 56;
-    std::uint64_t d;
-    std::memcpy(&d, dst + i, 8);
-    d ^= r;
-    std::memcpy(dst + i, &d, 8);
-  }
-  for (; i < n; ++i) dst[i] ^= table[src[i]];
-}
-
-void mul_row_scalar64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                      const std::uint8_t* table) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t s;
-    std::memcpy(&s, src + i, 8);
-    std::uint64_t r = table[s & 0xFF];
-    r |= static_cast<std::uint64_t>(table[(s >> 8) & 0xFF]) << 8;
-    r |= static_cast<std::uint64_t>(table[(s >> 16) & 0xFF]) << 16;
-    r |= static_cast<std::uint64_t>(table[(s >> 24) & 0xFF]) << 24;
-    r |= static_cast<std::uint64_t>(table[(s >> 32) & 0xFF]) << 32;
-    r |= static_cast<std::uint64_t>(table[(s >> 40) & 0xFF]) << 40;
-    r |= static_cast<std::uint64_t>(table[(s >> 48) & 0xFF]) << 48;
-    r |= static_cast<std::uint64_t>(table[(s >> 56) & 0xFF]) << 56;
-    std::memcpy(dst + i, &r, 8);
-  }
-  for (; i < n; ++i) dst[i] = table[src[i]];
+// Scalar tail of the split-nibble kernels: c*x = nib[x & 0xF] ^ nib[16 + (x >> 4)].
+[[maybe_unused]] std::uint8_t nib_mul(const std::uint8_t* nib, std::uint8_t x) {
+  return nib[x & 0xF] ^ nib[16 + (x >> 4)];
 }
 
 #if defined(LEOPARD_GF256_HAS_SSSE3)
@@ -188,8 +142,7 @@ void mul_row_scalar64(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
 // pshufb pair multiplies 16 bytes. Two pairs per iteration -> 32 bytes.
 __attribute__((target("ssse3"))) void mul_add_row_ssse3(std::uint8_t* dst,
                                                         const std::uint8_t* src, std::size_t n,
-                                                        const std::uint8_t* nib,
-                                                        const std::uint8_t* table) {
+                                                        const std::uint8_t* nib) {
   const __m128i lo_tab = _mm_loadu_si128(reinterpret_cast<const __m128i*>(nib));
   const __m128i hi_tab = _mm_loadu_si128(reinterpret_cast<const __m128i*>(nib + 16));
   const __m128i mask = _mm_set1_epi8(0x0F);
@@ -216,12 +169,11 @@ __attribute__((target("ssse3"))) void mul_add_row_ssse3(std::uint8_t* dst,
     const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_xor_si128(d, p));
   }
-  for (; i < n; ++i) dst[i] ^= table[src[i]];
+  for (; i < n; ++i) dst[i] ^= nib_mul(nib, src[i]);
 }
 
 __attribute__((target("ssse3"))) void mul_row_ssse3(std::uint8_t* dst, const std::uint8_t* src,
-                                                    std::size_t n, const std::uint8_t* nib,
-                                                    const std::uint8_t* table) {
+                                                    std::size_t n, const std::uint8_t* nib) {
   const __m128i lo_tab = _mm_loadu_si128(reinterpret_cast<const __m128i*>(nib));
   const __m128i hi_tab = _mm_loadu_si128(reinterpret_cast<const __m128i*>(nib + 16));
   const __m128i mask = _mm_set1_epi8(0x0F);
@@ -233,7 +185,7 @@ __attribute__((target("ssse3"))) void mul_row_ssse3(std::uint8_t* dst, const std
                                                                  _mm_srli_epi64(s, 4), mask)));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), p);
   }
-  for (; i < n; ++i) dst[i] = table[src[i]];
+  for (; i < n; ++i) dst[i] = nib_mul(nib, src[i]);
 }
 
 bool cpu_has_ssse3() { return __builtin_cpu_supports("ssse3") != 0; }
@@ -286,8 +238,7 @@ __attribute__((target("gfni,avx512f,avx512bw"))) void mul_row_gfni(
 // multiplies 64 bytes.
 __attribute__((target("avx2"))) void mul_add_row_avx2(std::uint8_t* dst,
                                                       const std::uint8_t* src, std::size_t n,
-                                                      const std::uint8_t* nib,
-                                                      const std::uint8_t* table) {
+                                                      const std::uint8_t* nib) {
   const __m256i lo_tab = _mm256_broadcastsi128_si256(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(nib)));
   const __m256i hi_tab = _mm256_broadcastsi128_si256(
@@ -316,12 +267,11 @@ __attribute__((target("avx2"))) void mul_add_row_avx2(std::uint8_t* dst,
     const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(d, p));
   }
-  for (; i < n; ++i) dst[i] ^= table[src[i]];
+  for (; i < n; ++i) dst[i] ^= nib_mul(nib, src[i]);
 }
 
 __attribute__((target("avx2"))) void mul_row_avx2(std::uint8_t* dst, const std::uint8_t* src,
-                                                  std::size_t n, const std::uint8_t* nib,
-                                                  const std::uint8_t* table) {
+                                                  std::size_t n, const std::uint8_t* nib) {
   const __m256i lo_tab = _mm256_broadcastsi128_si256(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(nib)));
   const __m256i hi_tab = _mm256_broadcastsi128_si256(
@@ -335,7 +285,7 @@ __attribute__((target("avx2"))) void mul_row_avx2(std::uint8_t* dst, const std::
         _mm256_shuffle_epi8(hi_tab, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask)));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), p);
   }
-  for (; i < n; ++i) dst[i] = table[src[i]];
+  for (; i < n; ++i) dst[i] = nib_mul(nib, src[i]);
 }
 
 #endif  // LEOPARD_GF256_HAS_SSSE3
@@ -343,7 +293,7 @@ __attribute__((target("avx2"))) void mul_row_avx2(std::uint8_t* dst, const std::
 #if defined(LEOPARD_GF256_HAS_NEON)
 
 void mul_add_row_neon(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                      const std::uint8_t* nib, const std::uint8_t* table) {
+                      const std::uint8_t* nib) {
   const uint8x16_t lo_tab = vld1q_u8(nib);
   const uint8x16_t hi_tab = vld1q_u8(nib + 16);
   const uint8x16_t mask = vdupq_n_u8(0x0F);
@@ -364,11 +314,11 @@ void mul_add_row_neon(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                                   vqtbl1q_u8(hi_tab, vshrq_n_u8(s, 4)));
     vst1q_u8(dst + i, veorq_u8(vld1q_u8(dst + i), p));
   }
-  for (; i < n; ++i) dst[i] ^= table[src[i]];
+  for (; i < n; ++i) dst[i] ^= nib_mul(nib, src[i]);
 }
 
 void mul_row_neon(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                  const std::uint8_t* nib, const std::uint8_t* table) {
+                  const std::uint8_t* nib) {
   const uint8x16_t lo_tab = vld1q_u8(nib);
   const uint8x16_t hi_tab = vld1q_u8(nib + 16);
   const uint8x16_t mask = vdupq_n_u8(0x0F);
@@ -378,7 +328,7 @@ void mul_row_neon(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
     vst1q_u8(dst + i, veorq_u8(vqtbl1q_u8(lo_tab, vandq_u8(s, mask)),
                                vqtbl1q_u8(hi_tab, vshrq_n_u8(s, 4))));
   }
-  for (; i < n; ++i) dst[i] = table[src[i]];
+  for (; i < n; ++i) dst[i] = nib_mul(nib, src[i]);
 }
 
 #endif  // LEOPARD_GF256_HAS_NEON
@@ -391,7 +341,7 @@ Gf256::Kernel detect_kernel() {
 #elif defined(LEOPARD_GF256_HAS_NEON)
   return Gf256::Kernel::kNeon;
 #endif
-  return Gf256::Kernel::kScalar64;
+  return Gf256::Kernel::kScalarRef;
 }
 
 std::atomic<Gf256::Kernel>& kernel_slot() {
@@ -404,7 +354,6 @@ std::atomic<Gf256::Kernel>& kernel_slot() {
 bool Gf256::kernel_available(Kernel k) {
   switch (k) {
     case Kernel::kScalarRef:
-    case Kernel::kScalar64:
       return true;
     case Kernel::kSsse3:
 #if defined(LEOPARD_GF256_HAS_SSSE3)
@@ -446,8 +395,6 @@ const char* Gf256::kernel_name(Kernel k) {
   switch (k) {
     case Kernel::kScalarRef:
       return "scalar_ref";
-    case Kernel::kScalar64:
-      return "scalar64";
     case Kernel::kSsse3:
       return "ssse3";
     case Kernel::kNeon:
@@ -480,15 +427,12 @@ void Gf256::mul_add_row(std::uint8_t* dst, const std::uint8_t* src, std::size_t 
     return;
   }
   switch (active_kernel()) {
-    case Kernel::kScalarRef:
-      mul_add_row_ref(dst, src, n, coef);
-      return;
 #if defined(LEOPARD_GF256_HAS_SSSE3)
     case Kernel::kSsse3:
-      mul_add_row_ssse3(dst, src, n, nibble_table(coef), mul_row_table(coef));
+      mul_add_row_ssse3(dst, src, n, nibble_table(coef));
       return;
     case Kernel::kAvx2:
-      mul_add_row_avx2(dst, src, n, nibble_table(coef), mul_row_table(coef));
+      mul_add_row_avx2(dst, src, n, nibble_table(coef));
       return;
     case Kernel::kGfni:
       mul_add_row_gfni(dst, src, n, gfni_matrix(coef));
@@ -496,11 +440,11 @@ void Gf256::mul_add_row(std::uint8_t* dst, const std::uint8_t* src, std::size_t 
 #endif
 #if defined(LEOPARD_GF256_HAS_NEON)
     case Kernel::kNeon:
-      mul_add_row_neon(dst, src, n, nibble_table(coef), mul_row_table(coef));
+      mul_add_row_neon(dst, src, n, nibble_table(coef));
       return;
 #endif
-    default:
-      mul_add_row_scalar64(dst, src, n, mul_row_table(coef));
+    default:  // kScalarRef
+      mul_add_row_ref(dst, src, n, coef);
       return;
   }
 }
@@ -516,15 +460,12 @@ void Gf256::mul_row(std::uint8_t* dst, const std::uint8_t* src, std::size_t n, G
     return;
   }
   switch (active_kernel()) {
-    case Kernel::kScalarRef:
-      mul_row_ref(dst, src, n, coef);
-      return;
 #if defined(LEOPARD_GF256_HAS_SSSE3)
     case Kernel::kSsse3:
-      mul_row_ssse3(dst, src, n, nibble_table(coef), mul_row_table(coef));
+      mul_row_ssse3(dst, src, n, nibble_table(coef));
       return;
     case Kernel::kAvx2:
-      mul_row_avx2(dst, src, n, nibble_table(coef), mul_row_table(coef));
+      mul_row_avx2(dst, src, n, nibble_table(coef));
       return;
     case Kernel::kGfni:
       mul_row_gfni(dst, src, n, gfni_matrix(coef));
@@ -532,11 +473,11 @@ void Gf256::mul_row(std::uint8_t* dst, const std::uint8_t* src, std::size_t n, G
 #endif
 #if defined(LEOPARD_GF256_HAS_NEON)
     case Kernel::kNeon:
-      mul_row_neon(dst, src, n, nibble_table(coef), mul_row_table(coef));
+      mul_row_neon(dst, src, n, nibble_table(coef));
       return;
 #endif
-    default:
-      mul_row_scalar64(dst, src, n, mul_row_table(coef));
+    default:  // kScalarRef
+      mul_row_ref(dst, src, n, coef);
       return;
   }
 }

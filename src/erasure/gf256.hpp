@@ -4,12 +4,11 @@
 //
 // Besides the scalar field ops, this header exposes the bulk row kernels the
 // Reed-Solomon hot path is built on: dst ^= coef * src over whole shards.
-// Three implementations sit behind a runtime dispatch:
+// The implementations sit behind a runtime dispatch:
 //
 //   kScalarRef — the original branchy log/exp loop, retained as the
-//                byte-exact reference for property tests and bench baselines;
-//   kScalar64  — per-coefficient 256-entry product table, 8 bytes per
-//                iteration via 64-bit loads/XOR-stores;
+//                byte-exact reference for property tests and bench baselines,
+//                and the dispatch target of a build with no SIMD tier;
 //   kSsse3     — the ISA-L/klauspost split-nibble technique: two 16-entry
 //                tables per coefficient, 32 bytes per iteration via pshufb
 //                (NEON tbl on aarch64 builds);
@@ -51,13 +50,13 @@ class Gf256 {
   // --- bulk row kernels (the erasure-coding hot path) ----------------------
 
   /// Which bulk implementation mul_row/mul_add_row dispatch to.
-  enum class Kernel { kScalarRef, kScalar64, kSsse3, kNeon, kAvx2, kGfni };
+  enum class Kernel { kScalarRef, kSsse3, kNeon, kAvx2, kGfni };
 
   /// Kernel currently in effect (auto-detected at startup, see force_kernel).
   static Kernel active_kernel();
 
-  /// Human-readable name of `k` ("scalar_ref", "scalar64", "ssse3", "neon",
-  /// "avx2", "gfni").
+  /// Human-readable name of `k` ("scalar_ref", "ssse3", "neon", "avx2",
+  /// "gfni").
   static const char* kernel_name(Kernel k);
 
   /// Overrides dispatch, clamped to what this CPU supports; returns the
@@ -80,9 +79,6 @@ class Gf256 {
                               Gf coef);
   static void mul_row_ref(std::uint8_t* dst, const std::uint8_t* src, std::size_t n, Gf coef);
 
-  /// 256-entry product row for coefficient `c`: mul_row_table(c)[x] == c*x.
-  static const std::uint8_t* mul_row_table(Gf c);
-
   /// Split-nibble tables for `c`: 32 bytes, [0,16) low-nibble products
   /// c*(x & 0xF), [16,32) high-nibble products c*(x << 4). c*x is the XOR of
   /// one entry from each half.
@@ -102,8 +98,6 @@ class Gf256 {
   static const Tables& tables();
 
   struct BulkTables {
-    // mul[c * 256 + x] = c * x — 64 KiB, one cache-resident row per coefficient.
-    std::array<std::uint8_t, 256 * 256> mul{};
     // nib[c * 32 + i]      = c * i          (i < 16)
     // nib[c * 32 + 16 + i] = c * (i << 4)   (i < 16)
     std::array<std::uint8_t, 256 * 32> nib{};

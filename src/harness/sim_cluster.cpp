@@ -35,11 +35,7 @@ SimCluster::SimCluster(SimClusterConfig cfg)
   util::expects(n_ >= 4, "simulated clusters require n >= 4");
   util::expects(cfg_.shards >= 1 && cfg_.shards <= shard::kMaxShards, "bad shard count");
 
-  const std::uint32_t f = (n_ - 1) / 3;
-  schemes_.reserve(cfg_.shards);
-  for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
-    schemes_.emplace_back(n_, 2 * f + 1, cfg_.seed + s);
-  }
+  schemes_ = shard::shard_schemes(n_, 2 * ((n_ - 1) / 3) + 1, cfg_.seed, cfg_.shards);
 
   // --- Replica machines (node ids 0..n-1, in registration order) -----------
   for (std::uint32_t phys = 0; phys < n_; ++phys) {

@@ -54,8 +54,7 @@ struct SimClusterConfig {
       mutate_spec;
   std::uint32_t shards = 1;
   sim::NetworkConfig net;
-  /// Threshold-scheme seed; shard s signs under seed + s, so a share never
-  /// verifies across shards.
+  /// Threshold-scheme seed, split per shard by shard::shard_schemes.
   std::uint64_t seed = 1;
   /// Registered after the replicas, in order.
   std::vector<ClientGroup> clients;

@@ -221,18 +221,8 @@ Fields Replica::run() {
   };
   std::vector<PerShard> per_shard(shards);
 
-  // Real (non-filler) records pushed but not yet merged — the stall
-  // detector's trigger (see shard/sequencer.hpp for why filler must not
-  // count). Resynced to zero whenever the sequencer drains completely, so a
-  // recovery-time prune can only overcount transiently.
-  std::uint64_t pending_real = 0;
-  std::uint64_t noops_injected = 0;
-  std::uint64_t noop_seq = 0;
-  std::uint64_t last_emitted = 0;
-
   util::Bytes exec_frame;  // reused by every merged execute (encode_exec_frame)
   shard::Sequencer sequencer(shards, [&](const shard::GlobalRecord& r) {
-    if (!shard::is_filler_block(*r.exec.block) && pending_real > 0) --pending_real;
     const auto block_digest = block_digest_of(*r.exec.block);
     std::span<const std::uint8_t> frame;
     if (rstore != nullptr || !sync.live()) {
@@ -244,14 +234,10 @@ Fields Replica::run() {
   });
 
   // S unmodified cores over the shared transport: shard s hosts core-level
-  // replica (id - s) mod n under a per-shard threshold domain (seed + s), so
-  // each shard's leader lands on a different machine. Shard 0 keeps the
-  // node's own id and seed.
-  std::vector<crypto::ThresholdScheme> schemes;
-  schemes.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    schemes.emplace_back(n, manifest_.quorum(), manifest_.seed + s);
-  }
+  // replica rotate_in(id, s, n) under its own threshold domain, so each
+  // shard's leader lands on a different machine. Shard 0 keeps the node's
+  // own id and seed.
+  const auto schemes = shard::shard_schemes(n, manifest_.quorum(), manifest_.seed, shards);
   // Request-stage tracer shared by every shard core. The stage hooks fire on
   // whichever worker thread runs the shard; the tracer's histograms record
   // through per-thread registry shards and its span ring is mutex-guarded, so
@@ -265,8 +251,7 @@ Fields Replica::run() {
   std::vector<const core::LeopardReplica*> leopard_cores(shards, nullptr);
   chaos::ByzantineInterposer* byz0 = nullptr;  // shard 0's, for state-sync sends
   for (std::uint32_t s = 0; s < shards; ++s) {
-    const auto core_id = static_cast<proto::ReplicaId>((opts_.id + n - s % n) % n);
-    auto hosted = protocol::make_protocol(spec, schemes[s], core_id);
+    auto hosted = protocol::make_protocol(spec, schemes[s], shard::rotate_in(opts_.id, s, n));
     leopard_cores[s] = dynamic_cast<const core::LeopardReplica*>(hosted.get());
     if (auto* lr = dynamic_cast<core::LeopardReplica*>(hosted.get())) {
       lr->set_stage_hooks(
@@ -300,9 +285,7 @@ Fields Replica::run() {
       ps.requests += e.requests;
       ++ps.blocks;
       fold_into(ps.fold, block_digest_of(*e.block), e.seq, e.ordinal);
-      const bool real = !shard::is_filler_block(*e.block);
-      if (real) ++pending_real;
-      if (!sequencer.push(s, e) && real && pending_real > 0) --pending_real;
+      sequencer.push(s, e);
     });
     cores.push_back(std::move(hosted));
     muxes.push_back(std::move(mux));
@@ -374,7 +357,7 @@ Fields Replica::run() {
     }
     fields.push_back({"seq_emitted", sequencer.emitted()});
     fields.push_back({"seq_round", sequencer.round()});
-    fields.push_back({"noops_injected", noops_injected});
+    fields.push_back({"noops_injected", sequencer.noops_injected()});
     fields.push_back({"io_threads", std::uint64_t{env.io_threads()}});
     fields.push_back({"sync_live", sync.live()});
     if (!opts_.byzantine.empty()) fields.push_back({"byzantine", opts_.byzantine});
@@ -409,22 +392,13 @@ Fields Replica::run() {
     if (sync.executed_blocks() > 0) {
       sequencer.advance_to(sync.tail_seq(), sync.tail_ordinal());
     }
-    if (!sequencer.has_backlog()) pending_real = 0;  // prune-drift resync
-    if (sync.live() && sequencer.emitted() == last_emitted && pending_real > 0) {
-      // Real work is stuck behind an idle shard: commit a no-op through the
-      // blocking shard's LOCAL core so the round fills (and every earlier
-      // round is proven) via ordinary consensus.
-      const auto s = sequencer.cursor_shard();
-      proto::Request req;
-      req.client_id = shard::kFillerClientBase + opts_.id;
-      req.seq = noop_seq++;
-      req.payload_size = 1;
-      req.submitted_at = env.now();
-      muxes[s]->inject_request(static_cast<sim::NodeId>(shard::kFillerClientBase + opts_.id),
-                               std::make_shared<proto::ClientRequestMsg>(std::move(req)));
-      ++noops_injected;
+    // Real work stuck behind an idle shard: its LOCAL core commits the
+    // sequencer's filler, so the round fills via ordinary consensus.
+    const auto blocked = sequencer.stall_check();
+    if (blocked && sync.live()) {
+      muxes[*blocked]->inject_request(shard::filler_client(opts_.id),
+                                      sequencer.make_filler(opts_.id, env.now()));
     }
-    last_emitted = sequencer.emitted();
     env.arm_aux_timer(kStallTimer, shard::kStallTickInterval);
   };
   env.set_aux_timer_handler([&](std::uint64_t token) {

@@ -86,16 +86,6 @@ void SimEnv::attach(Protocol& protocol) {
   id_ = protocol.id();
 }
 
-NodeId SimEnv::rotate_out(NodeId core_id) const {
-  if (shard_ == 0 || core_id >= n_) return core_id;  // clients pass through unrotated
-  return (core_id + shard_) % n_;
-}
-
-NodeId SimEnv::rotate_in(NodeId phys_id) const {
-  if (shard_ == 0 || phys_id >= n_) return phys_id;
-  return (phys_id + n_ - shard_ % n_) % n_;
-}
-
 sim::PayloadPtr SimEnv::wrap(sim::PayloadPtr payload) const {
   if (shard_ == 0) return payload;  // bare: byte-compatible with S=1
   return std::make_shared<ShardEnvelope>(shard_, std::move(payload));
@@ -109,7 +99,7 @@ void SimEnv::start() {
 }
 
 void SimEnv::on_message(sim::NodeId from, const sim::PayloadPtr& msg) {
-  from = rotate_in(from);
+  from = shard::rotate_in(from, shard_, n_);
   if (auto cr = std::dynamic_pointer_cast<const proto::ClientRequestMsg>(msg)) {
     deliver_request(from, std::move(cr));
   } else {
@@ -147,7 +137,7 @@ void SimEnv::apply(Action action) {
           // No-op pseudo-clients have no network presence: their acks die
           // here, before the simulator can reject the unknown destination.
           if (a.to >= shard::kNoopClientBase) return;
-          net_.send(id_, rotate_out(a.to), wrap(std::move(a.payload)));
+          net_.send(id_, shard::rotate_out(a.to, shard_, n_), wrap(std::move(a.payload)));
         } else if constexpr (std::is_same_v<T, Broadcast>) {
           // Rotation is a bijection on [0, n): "all replicas but self" is
           // the same physical set, so broadcasts need no per-target rotation.

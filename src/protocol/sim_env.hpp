@@ -8,10 +8,10 @@
 //
 // Placement. An env hosts the core of shard `shard` of `shards` on the
 // physical node set by `set_node_id`. Shard s rotates the replica-id space by
-// s: core-level replica c lives on physical node (c + s) mod n, so every
-// shard sees a full n-replica cluster while each shard's leader (core id 1
-// mod n) lands on a different machine. Ids >= n (clients) pass through
-// unrotated; sends to no-op pseudo-clients (>= shard::kNoopClientBase) are
+// s (shard::rotate_out/rotate_in): core-level replica c lives on physical
+// node (c + s) mod n, so every shard sees a full n-replica cluster while each
+// shard's leader lands on a different machine. Ids >= n (clients) pass
+// through unrotated; sends to no-op pseudo-clients (>= shard::kNoopClientBase) are
 // dropped here, since the simulator aborts on unknown destinations and
 // their acks have no consumer. Shard s > 0 traffic rides a ShardEnvelope;
 // shard 0 travels bare. Timer and injection entries pin the core's CPU lane
@@ -91,8 +91,6 @@ class SimEnv final : public Env, public sim::Node {
   void deliver_request(NodeId from, std::shared_ptr<const proto::ClientRequestMsg> msg);
   void begin_step(Event event);
   void record_action(const Action& action);
-  [[nodiscard]] NodeId rotate_out(NodeId core_id) const;
-  [[nodiscard]] NodeId rotate_in(NodeId phys_id) const;
   [[nodiscard]] sim::PayloadPtr wrap(sim::PayloadPtr payload) const;
 
   sim::Network& net_;

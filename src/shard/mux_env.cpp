@@ -23,23 +23,13 @@ MuxEnv::MuxEnv(net::SocketEnv& socket, core::ProtocolMetrics& metrics,
   socket_.register_instance(shard, std::move(hooks));
 }
 
-sim::NodeId MuxEnv::rotate_out(sim::NodeId core_id) const {
-  if (core_id >= n_) return core_id;  // clients pass through unrotated
-  return (core_id + shard_) % n_;
-}
-
-sim::NodeId MuxEnv::rotate_in(sim::NodeId transport_id) const {
-  if (transport_id >= n_) return transport_id;
-  return (transport_id + n_ - shard_ % n_) % n_;
-}
-
 void MuxEnv::on_start() {
   util::expects(core_ != nullptr, "MuxEnv: run() without an attached core");
   core_->on_start(*this);
 }
 
 void MuxEnv::deliver(sim::NodeId from, const sim::PayloadPtr& payload) {
-  const auto core_from = rotate_in(from);
+  const auto core_from = rotate_in(from, shard_, n_);
   if (auto cr = std::dynamic_pointer_cast<const proto::ClientRequestMsg>(payload)) {
     core_->on_client_request(*this, core_from, cr);
   } else {
@@ -64,7 +54,7 @@ void MuxEnv::apply(protocol::Action action) {
           // Pseudo-client acks (stall no-ops) die here: the transport would
           // only shed them per-frame anyway, with noisier stats.
           if (a.to >= kNoopClientBase) return;
-          socket_.send_payload(shard_, rotate_out(a.to), *a.payload);
+          socket_.send_payload(shard_, rotate_out(a.to, shard_, n_), *a.payload);
         } else if constexpr (std::is_same_v<T, protocol::Broadcast>) {
           // Rotation is a bijection on [0, n): "all replicas but self" is
           // the same transport set, so broadcasts need no per-target rotation.

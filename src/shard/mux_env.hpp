@@ -13,11 +13,11 @@
 //   - Execute feeds the host's observer (which pushes into the
 //     shard::Sequencer), MetricsUpdate a per-shard ProtocolMetrics.
 //
-// Identity model matches the sim: shard s rotates the replica-id space by
-// s, so core-level replica c lives on transport node (c + s) mod n and each
-// shard's leader (core id 1 mod n) lands on a different machine. Ids >= n
-// (clients) pass through unrotated; sends to pseudo-clients (>=
-// kNoopClientBase) are dropped here — their acks have no consumer.
+// Identity model matches the sim (rotate_out/rotate_in in sequencer.hpp):
+// core-level replica c of shard s lives on transport node (c + s) mod n, so
+// each shard's leader lands on a different machine. Ids >= n (clients) pass
+// through unrotated; sends to pseudo-clients (>= kNoopClientBase) are
+// dropped here — their acks have no consumer.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +64,6 @@ class MuxEnv final : public protocol::Env {
  private:
   void on_start();
   void deliver(sim::NodeId from, const sim::PayloadPtr& payload);
-  [[nodiscard]] sim::NodeId rotate_out(sim::NodeId core_id) const;
-  [[nodiscard]] sim::NodeId rotate_in(sim::NodeId transport_id) const;
 
   net::SocketEnv& socket_;
   protocol::Protocol* core_ = nullptr;

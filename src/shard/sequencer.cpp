@@ -53,6 +53,14 @@ std::vector<ClientSlice> split_client(const core::ClientConfig& cfg, std::uint64
   return slices;
 }
 
+std::vector<crypto::ThresholdScheme> shard_schemes(std::uint32_t n, std::uint32_t threshold,
+                                                   std::uint64_t seed, std::uint32_t shards) {
+  std::vector<crypto::ThresholdScheme> schemes;
+  schemes.reserve(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) schemes.emplace_back(n, threshold, seed + s);
+  return schemes;
+}
+
 bool is_filler_block(const sim::Payload& block) {
   const auto* db = dynamic_cast<const proto::DatablockMsg*>(&block);
   if (db == nullptr) return false;  // unknown block types count as real
@@ -89,7 +97,9 @@ bool Sequencer::push(std::uint32_t shard, const protocol::Execute& exec) {
   record.shard = shard;
   record.shard_seq = exec.seq;
   record.shard_ordinal = exec.ordinal;
+  record.filler = is_filler_block(*exec.block);
   record.exec = exec;
+  if (!record.filler) ++real_pending_;
   st.buffer.emplace(key, std::move(record));
   pump();
   return true;
@@ -108,6 +118,7 @@ void Sequencer::pump() {
       st.floor = {round_, record.shard_ordinal + 1};
       it = st.buffer.erase(it);
       ++emitted_;
+      if (!record.filler) --real_pending_;
       sink_(record);
     }
     // The slot closes only once the shard has provably moved past it.
@@ -147,18 +158,30 @@ void Sequencer::advance_to(std::uint64_t gseq, std::uint32_t gordinal) {
       implied = {gseq, tail_ordinal + 1};
     }
     if (st.floor < implied) st.floor = implied;
-    st.buffer.erase(st.buffer.begin(), st.buffer.lower_bound(st.floor));
+    const auto pruned_end = st.buffer.lower_bound(st.floor);
+    for (auto it = st.buffer.begin(); it != pruned_end; ++it) {
+      if (!it->second.filler) --real_pending_;
+    }
+    st.buffer.erase(st.buffer.begin(), pruned_end);
   }
   pump();
 }
 
-bool Sequencer::has_backlog() const {
-  for (std::uint32_t s = 0; s < states_.size(); ++s) {
-    const auto& st = states_[s];
-    if (!st.buffer.empty()) return true;
-    if (st.seen && st.frontier > round_) return true;
-  }
-  return false;
+std::optional<std::uint32_t> Sequencer::stall_check() {
+  const bool stalled = emitted_ == emitted_at_last_check_ && real_pending_ > 0;
+  emitted_at_last_check_ = emitted_;
+  if (!stalled) return std::nullopt;
+  return cursor_;
+}
+
+std::shared_ptr<const proto::ClientRequestMsg> Sequencer::make_filler(sim::NodeId phys,
+                                                                      sim::SimTime now) {
+  proto::Request req;
+  req.client_id = filler_client(phys);
+  req.seq = noops_injected_++;
+  req.payload_size = 1;
+  req.submitted_at = now;
+  return std::make_shared<proto::ClientRequestMsg>(std::move(req));
 }
 
 }  // namespace leopard::shard

@@ -19,10 +19,15 @@
 // nothing at sseq == q contributes an empty round — the Raptr-style
 // explicit empty slot — and the global stream simply skips it, the same
 // gap semantics the single-instance stream already has across checkpoint
-// adoption. Liveness when a shard is idle (it will never prove q on its
-// own) is the host's job: after a bounded stall it injects a no-op client
-// request (client id >= kNoopClientBase, acks dropped at the env boundary)
-// into its local core of the blocking shard; the no-op commits through
+// adoption.
+//
+// Liveness. An idle shard never proves its open round on its own, so the
+// sequencer also owns the stall rule: it counts the real (non-filler)
+// records it holds, and a stall check that finds nothing emitted since the
+// previous one while real records wait names the cursor shard. The host
+// only ticks (kStallTickInterval) and injects the sequencer-built filler
+// no-op (from filler_client(phys), acks dropped at the env boundary) into
+// its local core of that shard; the no-op commits through
 // ordinary consensus at the shard's next sn, simultaneously filling the
 // stalled round and proving every earlier one.
 //
@@ -47,9 +52,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/client.hpp"
+#include "crypto/threshold_sig.hpp"
 #include "protocol/protocol.hpp"
 
 namespace leopard::shard {
@@ -70,10 +78,39 @@ inline constexpr sim::NodeId kNoopClientBase = 0xF0000000u;
 inline constexpr sim::SimTime kStallTickInterval = 100 * sim::kMillisecond;
 
 /// Sub-range of the pseudo-client space reserved for stall FILLER no-ops
-/// (kFillerClientBase + physical replica id). Only requests from this range
+/// (filler_client(physical replica id)). Only requests from this range
 /// mark a block as filler for is_filler_block(); pseudo-clients below it
 /// (ack-dropped, but semantically real payloads) still count as real work.
 inline constexpr sim::NodeId kFillerClientBase = 0xF8000000u;
+
+/// The pseudo-client a physical replica's filler no-ops come from.
+[[nodiscard]] constexpr sim::NodeId filler_client(sim::NodeId phys) {
+  return kFillerClientBase + phys;
+}
+
+/// Shard placement. Shard s rotates the replica-id space by s: core-level
+/// replica c of shard s lives on physical (transport) node (c + s) mod n,
+/// so each shard's leader (core id 1) lands on a different machine, and
+/// physical node p hosts core rotate_in(p, s, n) of every shard s. Ids >= n
+/// (clients) pass through unrotated; shard 0 is the identity.
+[[nodiscard]] constexpr sim::NodeId rotate_out(sim::NodeId core_id, std::uint32_t shard,
+                                               std::uint32_t n) {
+  if (shard == 0 || core_id >= n) return core_id;
+  return (core_id + shard) % n;
+}
+[[nodiscard]] constexpr sim::NodeId rotate_in(sim::NodeId phys_id, std::uint32_t shard,
+                                              std::uint32_t n) {
+  if (shard == 0 || phys_id >= n) return phys_id;
+  return (phys_id + n - shard % n) % n;
+}
+
+/// One (n, threshold) threshold scheme per shard, shard s under seed + s:
+/// a share signed in one shard never verifies in another, and shard 0
+/// keeps the unsharded seed.
+[[nodiscard]] std::vector<crypto::ThresholdScheme> shard_schemes(std::uint32_t n,
+                                                                 std::uint32_t threshold,
+                                                                 std::uint64_t seed,
+                                                                 std::uint32_t shards);
 
 [[nodiscard]] constexpr std::uint32_t pack_ordinal(std::uint32_t shard,
                                                    std::uint32_t shard_ordinal) {
@@ -111,10 +148,10 @@ struct ClientSlice {
 
 /// True when `block` carries only liveness-filler content: a datablock all
 /// of whose requests come from filler pseudo-clients (or an empty one). The
-/// stall logic injects no-ops only while REAL records wait behind the
-/// cursor — a filler commit lands one round ahead of the cursor and would
-/// otherwise re-arm the stall detector forever (perpetual heartbeat);
-/// trailing filler may instead stay buffered until real traffic resumes.
+/// stall rule fills only while REAL records wait behind the cursor — a
+/// filler commit lands one round ahead of the cursor and would otherwise
+/// re-arm the stall rule forever (perpetual heartbeat); trailing filler may
+/// instead stay buffered until real traffic resumes.
 [[nodiscard]] bool is_filler_block(const sim::Payload& block);
 
 /// One record of the merged global stream. `exec.seq`/`exec.ordinal` carry
@@ -124,6 +161,8 @@ struct GlobalRecord {
   std::uint32_t shard = 0;
   std::uint64_t shard_seq = 0;
   std::uint32_t shard_ordinal = 0;
+  /// is_filler_block(*exec.block), computed once at push.
+  bool filler = false;
   protocol::Execute exec;
 };
 
@@ -154,11 +193,22 @@ class Sequencer {
   [[nodiscard]] std::uint32_t cursor_shard() const { return cursor_; }
   /// Total records emitted through the sink.
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
-  /// True when some shard has progressed beyond the cursor's round while
-  /// the merge is blocked — the signal that stall no-ops are warranted (a
-  /// fully idle system has no backlog and injects nothing).
-  [[nodiscard]] bool has_backlog() const;
+  /// Real (non-filler) records held behind the cursor: up on an accepted
+  /// push, down on emit and on advance_to's prune. Always 0 at S = 1, where
+  /// every record emits inside its push.
+  [[nodiscard]] std::uint64_t real_pending() const { return real_pending_; }
   [[nodiscard]] std::uint64_t duplicates_dropped() const { return duplicates_dropped_; }
+
+  /// The stall rule, evaluated by the host once per kStallTickInterval: when
+  /// nothing was emitted since the previous check while real records wait,
+  /// returns the cursor shard, whose local core must commit a filler. A
+  /// filler-only backlog never asks, so an idle cluster quiesces.
+  [[nodiscard]] std::optional<std::uint32_t> stall_check();
+  /// Builds physical replica `phys`'s next filler no-op (from
+  /// filler_client(phys), seq counting from 0) and counts it.
+  [[nodiscard]] std::shared_ptr<const proto::ClientRequestMsg> make_filler(sim::NodeId phys,
+                                                                           sim::SimTime now);
+  [[nodiscard]] std::uint64_t noops_injected() const { return noops_injected_; }
   [[nodiscard]] std::uint32_t shards() const { return static_cast<std::uint32_t>(states_.size()); }
 
  private:
@@ -182,6 +232,9 @@ class Sequencer {
   std::uint32_t cursor_ = 0;  // shard whose slot of round_ is open
   std::uint64_t emitted_ = 0;
   std::uint64_t duplicates_dropped_ = 0;
+  std::uint64_t real_pending_ = 0;
+  std::uint64_t emitted_at_last_check_ = 0;
+  std::uint64_t noops_injected_ = 0;  // also the next filler's seq
 };
 
 }  // namespace leopard::shard

@@ -82,7 +82,6 @@ ShardedSimNode::ShardedSimNode(
       phys_(phys_id),
       shards_(shards),
       sequencer_(shards, [this](const GlobalRecord& r) {
-        if (!is_filler_block(*r.exec.block)) --pending_real_;
         if (recording()) {
           merged_.push_back(chaos::ExecRecord{r.exec.seq, r.exec.ordinal,
                                               protocol::payload_fingerprint(*r.exec.block),
@@ -94,19 +93,12 @@ ShardedSimNode::ShardedSimNode(
     const auto spec = spec_for(s);
     const auto n = spec.n();
     util::expects(phys_id < n, "ShardedSimNode: phys id out of range");
-    // Shard s rotates ids by s: this machine hosts core (phys - s) mod n.
-    const auto core_id = static_cast<proto::ReplicaId>((phys_id + n - s % n) % n);
-    cores_[s] = protocol::make_protocol(spec, schemes[s], core_id);
+    cores_[s] = protocol::make_protocol(spec, schemes[s], rotate_in(phys_id, s, n));
     envs_[s] = std::make_unique<protocol::SimEnv>(net, metrics, n, s, shards);
     envs_[s]->attach(*cores_[s]);
     envs_[s]->set_node_id(phys_id);
-    envs_[s]->set_execute_observer([this, s](const protocol::Execute& e) {
-      // Count BEFORE push (the push may merge, and decrement, synchronously)
-      // and roll back if the record was a duplicate re-emission.
-      const bool real = !is_filler_block(*e.block);
-      if (real) ++pending_real_;
-      if (!sequencer_.push(s, e) && real) --pending_real_;
-    });
+    envs_[s]->set_execute_observer(
+        [this, s](const protocol::Execute& e) { sequencer_.push(s, e); });
   }
 }
 
@@ -132,23 +124,10 @@ void ShardedSimNode::inject_local_request(std::uint32_t shard, proto::Request re
 }
 
 void ShardedSimNode::stall_tick() {
-  // The merge stalled with REAL work buffered behind the cursor: commit a
-  // no-op through the blocking shard's LOCAL core so the round fills (and
-  // every earlier round is proven) via ordinary consensus. Filler-only
-  // backlog never triggers injection — it stays buffered until real
-  // traffic resumes, so an idle cluster quiesces.
-  if (sequencer_.emitted() == last_emitted_ && pending_real_ > 0) {
-    proto::Request req;
-    req.client_id = kFillerClientBase + phys_;
-    req.seq = noop_seq_++;
-    req.payload_size = 1;
-    req.submitted_at = net_.sim().now();
-    envs_[sequencer_.cursor_shard()]->inject_request(
-        static_cast<sim::NodeId>(kFillerClientBase + phys_),
-        std::make_shared<proto::ClientRequestMsg>(std::move(req)));
-    ++noops_injected_;
+  if (const auto s = sequencer_.stall_check()) {
+    envs_[*s]->inject_request(filler_client(phys_),
+                              sequencer_.make_filler(phys_, net_.sim().now()));
   }
-  last_emitted_ = sequencer_.emitted();
   stall_event_ = net_.sim().schedule_after(kStallTickInterval, [this] { stall_tick(); });
 }
 

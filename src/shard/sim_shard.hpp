@@ -9,9 +9,11 @@
 //
 // Ordering. Each replica node feeds its S per-shard Execute streams through
 // a shard::Sequencer; the merged global stream (and its fold digest) is
-// what reports, durability, and cross-replica oracles consume. A stall
-// tick injects no-op requests into the local core of the shard blocking
-// the merge (see sequencer.hpp for the liveness argument).
+// what reports, durability, and cross-replica oracles consume. The
+// Sequencer decides when the merge needs a filler and builds it; the node
+// only runs the stall tick and injects that filler into its local core of
+// the shard the Sequencer names (see sequencer.hpp for the liveness
+// argument).
 #pragma once
 
 #include <cstdint>
@@ -83,7 +85,7 @@ class ShardedSimNode final : public SimHost {
   /// merge oracle (recomputing the global stream from these must reproduce
   /// `merged()` exactly).
   [[nodiscard]] std::vector<std::vector<chaos::ExecRecord>> shard_streams() const;
-  [[nodiscard]] std::uint64_t noops_injected() const { return noops_injected_; }
+  [[nodiscard]] std::uint64_t noops_injected() const { return sequencer_.noops_injected(); }
 
   /// Typed access to the shard-s core.
   template <typename T>
@@ -106,14 +108,6 @@ class ShardedSimNode final : public SimHost {
   Sequencer sequencer_;
   std::vector<chaos::ExecRecord> merged_;
   sim::EventHandle stall_event_;
-  std::uint64_t last_emitted_ = 0;
-  std::uint64_t noops_injected_ = 0;
-  std::uint64_t noop_seq_ = 0;
-  /// Real (non-filler) records pushed but not yet merged — the stall
-  /// detector's trigger. Filler commits deliberately don't count, or every
-  /// no-op would re-arm the detector and an idle cluster would heartbeat
-  /// no-ops forever.
-  std::uint64_t pending_real_ = 0;
 };
 
 /// One client group split into sub-clients (split_client) sharing the

@@ -30,9 +30,8 @@ class KernelGuard {
 
 std::vector<le::Gf256::Kernel> fast_kernels() {
   std::vector<le::Gf256::Kernel> out;
-  for (const auto k : {le::Gf256::Kernel::kScalar64, le::Gf256::Kernel::kSsse3,
-                       le::Gf256::Kernel::kNeon, le::Gf256::Kernel::kAvx2,
-                       le::Gf256::Kernel::kGfni}) {
+  for (const auto k : {le::Gf256::Kernel::kSsse3, le::Gf256::Kernel::kNeon,
+                       le::Gf256::Kernel::kAvx2, le::Gf256::Kernel::kGfni}) {
     if (le::Gf256::kernel_available(k)) out.push_back(k);
   }
   return out;
@@ -53,13 +52,11 @@ TEST(Gf256Kernel, AtLeastOneFastKernelAvailable) {
   EXPECT_NE(le::Gf256::active_kernel(), le::Gf256::Kernel::kScalarRef);
 }
 
-TEST(Gf256Kernel, MulRowTableMatchesScalarMul) {
+TEST(Gf256Kernel, NibbleTableMatchesScalarMul) {
   for (int c = 0; c < 256; ++c) {
-    const auto* table = le::Gf256::mul_row_table(static_cast<le::Gf>(c));
     const auto* nib = le::Gf256::nibble_table(static_cast<le::Gf>(c));
     for (int x = 0; x < 256; ++x) {
       const le::Gf expected = le::Gf256::mul(static_cast<le::Gf>(c), static_cast<le::Gf>(x));
-      EXPECT_EQ(table[x], expected) << "c=" << c << " x=" << x;
       EXPECT_EQ(nib[x & 0xF] ^ nib[16 + (x >> 4)], expected) << "c=" << c << " x=" << x;
     }
   }

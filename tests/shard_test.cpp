@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <random>
 #include <utility>
 #include <vector>
@@ -45,6 +46,24 @@ protocol::Execute make_exec(const In& in) {
   exec.requests = in.tag % 7 + 1;
   exec.seq = in.sseq;
   exec.ordinal = in.sordinal;
+  return exec;
+}
+
+/// A shard-local commit of a stall filler: a datablock whose only request
+/// comes from a filler pseudo-client.
+protocol::Execute make_filler_exec(std::uint64_t sseq, std::uint32_t sordinal) {
+  proto::Datablock db;
+  db.counter = sseq;
+  proto::Request req;
+  req.client_id = shard::filler_client(0);
+  req.seq = sseq;
+  req.payload_size = 1;
+  db.requests.push_back(req);
+  protocol::Execute exec;
+  exec.block = std::make_shared<proto::DatablockMsg>(std::move(db));
+  exec.requests = 1;
+  exec.seq = sseq;
+  exec.ordinal = sordinal;
   return exec;
 }
 
@@ -180,7 +199,7 @@ TEST(Sequencer, StragglerBlocksUntilProofThenCatchesUp) {
   EXPECT_EQ(emitted[0].shard, 0u);
   EXPECT_EQ(seq.round(), 0u);
   EXPECT_EQ(seq.cursor_shard(), 1u);
-  EXPECT_TRUE(seq.has_backlog());
+  EXPECT_EQ(seq.real_pending(), 3u);
 
   // Shard 1 commits at sn 0: its slot fills but is not yet proven closed.
   seq.push(1, make_exec({1, 0, 0, tag++}));
@@ -200,7 +219,9 @@ TEST(Sequencer, StragglerBlocksUntilProofThenCatchesUp) {
 
 TEST(Sequencer, IdleSystemHasNoBacklog) {
   shard::Sequencer seq(4, [](const shard::GlobalRecord&) {});
-  EXPECT_FALSE(seq.has_backlog());
+  EXPECT_EQ(seq.real_pending(), 0u);
+  EXPECT_FALSE(seq.stall_check().has_value());
+  EXPECT_FALSE(seq.stall_check().has_value());
 }
 
 TEST(Sequencer, EmptyRoundsPassThrough) {
@@ -297,7 +318,7 @@ TEST(Sequencer, OneShardPassesEveryRecordThroughInsideItsPush) {
     EXPECT_EQ(out.gseq, in.sseq);
     EXPECT_EQ(out.gordinal, in.sordinal);
     EXPECT_EQ(out.requests, make_exec(in).requests);
-    EXPECT_FALSE(seq.has_backlog()) << "after sn " << in.sseq;
+    EXPECT_EQ(seq.real_pending(), 0u) << "after sn " << in.sseq;
   }
   EXPECT_EQ(seq.duplicates_dropped(), 0u);
 }
@@ -322,11 +343,167 @@ TEST(Sequencer, OneShardAdvanceToUnshardedWalTailDropsReemissions) {
       EXPECT_EQ(emitted.back().gseq, in.sseq);
       EXPECT_EQ(emitted.back().gordinal, in.sordinal);
     }
-    EXPECT_FALSE(seq.has_backlog());
+    EXPECT_EQ(seq.real_pending(), 0u);
   }
   EXPECT_EQ(seq.duplicates_dropped(), 6u);
   ASSERT_EQ(emitted.size(), 4u);
   EXPECT_EQ(emitted.front().tag, 7u);
+}
+
+// ---------------------------------------------------------------------------
+// The stall rule: exact real-record count, fill decision, filler request.
+// ---------------------------------------------------------------------------
+
+TEST(Sequencer, RealPendingIsExactAcrossDuplicatesAndPrune) {
+  std::vector<Out> emitted;
+  shard::Sequencer seq(2, [&](const shard::GlobalRecord& r) {
+    if (!r.filler) emitted.push_back(flatten(r));
+  });
+  // Shard 0 runs ahead through sn 3; round 0 of shard 0 emits and the
+  // cursor parks on silent shard 1 with sn 1..3 buffered.
+  for (std::uint64_t q = 0; q <= 3; ++q) seq.push(0, make_exec({0, q, 0, 10 + q}));
+  ASSERT_EQ(seq.emitted(), 1u);
+  EXPECT_EQ(seq.real_pending(), 3u);
+
+  // A duplicate re-emission is dropped and not counted; filler is held but
+  // not counted.
+  EXPECT_FALSE(seq.push(0, make_exec({0, 0, 0, 10})));
+  EXPECT_TRUE(seq.push(0, make_filler_exec(4, 0)));
+  EXPECT_EQ(seq.real_pending(), 3u);
+
+  // A durable tail at (2, shard 1) prunes shard 0's buffered sn 1 and 2 as
+  // already executed; only sn 3 stays real and pending.
+  seq.advance_to(2, shard::pack_ordinal(1, 0));
+  EXPECT_EQ(seq.emitted(), 1u);
+  EXPECT_EQ(seq.real_pending(), 1u);
+
+  // Shard 1 proves rounds 2..4: shard 0's sn 3 (real) and sn 4 (filler)
+  // emit, and shard 1's own sn 5 record is the one real record left.
+  seq.push(1, make_exec({1, 5, 0, 20}));
+  EXPECT_EQ(seq.emitted(), 3u);
+  ASSERT_EQ(emitted.size(), 2u);
+  EXPECT_EQ(emitted.back().tag, 13u);
+  EXPECT_EQ(seq.real_pending(), 1u);
+
+  // Each shard's next commit releases the other's: one real record is
+  // always the one left waiting.
+  seq.push(0, make_exec({0, 6, 0, 14}));
+  EXPECT_EQ(emitted.back().tag, 20u);
+  EXPECT_EQ(seq.real_pending(), 1u);
+  seq.push(1, make_exec({1, 7, 0, 21}));
+  EXPECT_EQ(emitted.back().tag, 14u);
+  EXPECT_EQ(seq.real_pending(), 1u);
+}
+
+TEST(Sequencer, FillerOnlyBacklogNeverAsksForFill) {
+  shard::Sequencer seq(2, [](const shard::GlobalRecord&) {});
+  // Filler commits one round ahead of a parked cursor, as a no-op lands.
+  for (std::uint64_t q = 0; q <= 3; ++q) seq.push(0, make_filler_exec(q, 0));
+  EXPECT_EQ(seq.emitted(), 1u);
+  EXPECT_EQ(seq.cursor_shard(), 1u);
+  EXPECT_EQ(seq.real_pending(), 0u);
+  for (int check = 0; check < 5; ++check) {
+    EXPECT_FALSE(seq.stall_check().has_value()) << "check " << check;
+  }
+  EXPECT_EQ(seq.noops_injected(), 0u);
+}
+
+TEST(Sequencer, BlockedMergeAsksForCursorShardOncePerIdleCheck) {
+  shard::Sequencer seq(3, [](const shard::GlobalRecord&) {});
+  // Shards 1 and 2 commit; shard 0 is idle, so the cursor parks on it.
+  for (std::uint64_t q = 0; q <= 2; ++q) {
+    seq.push(1, make_exec({1, q, 0, 30 + q}));
+    seq.push(2, make_exec({2, q, 0, 40 + q}));
+  }
+  EXPECT_EQ(seq.emitted(), 0u);
+  EXPECT_EQ(seq.cursor_shard(), 0u);
+  EXPECT_EQ(seq.real_pending(), 6u);
+
+  // Nothing emitted since construction: every check names shard 0 once.
+  EXPECT_EQ(seq.stall_check(), std::optional<std::uint32_t>{0});
+  EXPECT_EQ(seq.stall_check(), std::optional<std::uint32_t>{0});
+
+  // Shard 0's sn 0 emits but does not close its slot (no proof beyond sn
+  // 0 yet): the next check saw an emit and waits; the one after that, with
+  // the cursor still parked on shard 0, names it again.
+  seq.push(0, make_exec({0, 0, 0, 50}));
+  EXPECT_EQ(seq.emitted(), 1u);
+  EXPECT_EQ(seq.cursor_shard(), 0u);
+  EXPECT_EQ(seq.real_pending(), 6u);
+  EXPECT_FALSE(seq.stall_check().has_value());
+  EXPECT_EQ(seq.stall_check(), std::optional<std::uint32_t>{0});
+
+  // The filler it builds comes from the replica's filler pseudo-client with
+  // its own seq counter, and is what is_filler_block recognizes.
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    const auto filler = seq.make_filler(/*phys=*/2, /*now=*/5 * sim::kMillisecond);
+    ASSERT_EQ(filler->requests.size(), 1u);
+    EXPECT_EQ(filler->requests[0].client_id, shard::filler_client(2));
+    EXPECT_EQ(filler->requests[0].seq, k);
+    EXPECT_EQ(filler->requests[0].submitted_at, 5 * sim::kMillisecond);
+    proto::Datablock db;
+    db.requests = filler->requests;
+    EXPECT_TRUE(shard::is_filler_block(proto::DatablockMsg(std::move(db))));
+  }
+  EXPECT_EQ(seq.noops_injected(), 3u);
+}
+
+TEST(Sequencer, OneShardNeverAsksForFill) {
+  shard::Sequencer seq(1, [](const shard::GlobalRecord&) {});
+  for (const auto& in : one_shard_stream()) {
+    seq.push(0, make_exec(in));
+    EXPECT_EQ(seq.real_pending(), 0u) << "sn " << in.sseq;
+    EXPECT_FALSE(seq.stall_check().has_value()) << "sn " << in.sseq;
+    EXPECT_FALSE(seq.stall_check().has_value()) << "sn " << in.sseq;
+  }
+}
+
+TEST(ShardLayout, RotationRoundTripsAndPassesClientsThrough) {
+  for (const std::uint32_t n : {4u, 7u}) {
+    for (std::uint32_t shards = 1; shards <= 5; ++shards) {
+      std::vector<sim::NodeId> leaders;
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        std::vector<bool> hit(n, false);
+        for (sim::NodeId x = 0; x < n; ++x) {
+          const auto out = shard::rotate_out(x, s, n);
+          ASSERT_LT(out, n) << "n=" << n << " s=" << s << " x=" << x;
+          EXPECT_EQ(out, (x + s) % n);
+          EXPECT_EQ(shard::rotate_in(out, s, n), x) << "n=" << n << " s=" << s;
+          EXPECT_EQ(shard::rotate_out(shard::rotate_in(x, s, n), s, n), x);
+          hit[out] = true;
+        }
+        EXPECT_EQ(std::count(hit.begin(), hit.end(), true), static_cast<std::ptrdiff_t>(n))
+            << "rotation is not a bijection on [0, n): n=" << n << " s=" << s;
+        for (const sim::NodeId id :
+             {sim::NodeId{n}, sim::NodeId{n + 1}, sim::NodeId{1000}, shard::kNoopClientBase,
+              shard::filler_client(3)}) {
+          EXPECT_EQ(shard::rotate_out(id, s, n), id) << "n=" << n << " s=" << s;
+          EXPECT_EQ(shard::rotate_in(id, s, n), id) << "n=" << n << " s=" << s;
+        }
+        leaders.push_back(shard::rotate_out(1, s, n));
+      }
+      // Up to n shards put their leaders (core id 1) on distinct machines.
+      std::sort(leaders.begin(), leaders.end());
+      if (shards <= n) {
+        EXPECT_EQ(std::unique(leaders.begin(), leaders.end()), leaders.end())
+            << "n=" << n << " shards=" << shards;
+      }
+    }
+  }
+}
+
+TEST(ShardLayout, ShardSchemesSeparateShards) {
+  const auto schemes = shard::shard_schemes(4, 3, /*seed=*/9, /*shards=*/3);
+  ASSERT_EQ(schemes.size(), 3u);
+  // Shard 0 is the unsharded scheme; a share signed in one shard does not
+  // verify in another.
+  const crypto::ThresholdScheme lone(4, 3, 9);
+  const auto msg = crypto::Digest::of_string("shard-domain");
+  const auto share = schemes[1].sign_share(0, msg);
+  EXPECT_TRUE(schemes[1].verify_share(msg, share));
+  EXPECT_FALSE(schemes[0].verify_share(msg, share));
+  EXPECT_FALSE(schemes[2].verify_share(msg, share));
+  EXPECT_TRUE(lone.verify_share(msg, schemes[0].sign_share(0, msg)));
 }
 
 TEST(Sequencer, OrdinalPackingRoundTrips) {

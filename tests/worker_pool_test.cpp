@@ -41,9 +41,8 @@ lu::Bytes random_bytes(std::size_t size, std::uint64_t seed) {
 
 std::vector<le::Gf256::Kernel> all_gf_kernels() {
   std::vector<le::Gf256::Kernel> out;
-  for (const auto k :
-       {le::Gf256::Kernel::kScalarRef, le::Gf256::Kernel::kScalar64,
-        le::Gf256::Kernel::kSsse3, le::Gf256::Kernel::kNeon, le::Gf256::Kernel::kAvx2}) {
+  for (const auto k : {le::Gf256::Kernel::kScalarRef, le::Gf256::Kernel::kSsse3,
+                       le::Gf256::Kernel::kNeon, le::Gf256::Kernel::kAvx2}) {
     if (le::Gf256::kernel_available(k)) out.push_back(k);
   }
   return out;

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Compare a bench JSON record against its committed baseline.
 
-Understands four record families, selected by the record's "bench" field:
+Understands five record families, selected by the record's "bench" field:
   hotpath         — bench_hotpath (BENCH_hotpath.json baseline)
   erasure_kernel  — bench_erasure_kernel (BENCH_erasure.json baseline)
   shard           — bench_shard (BENCH_shard.json baseline)
+  obs             — bench_obs (BENCH_obs.json baseline)
   wire            — bench_wire (BENCH_wire.json baseline)
 
 Only machine-portable *ratio* metrics are compared (speedups of one kernel
