@@ -44,6 +44,10 @@ struct ProtocolMetrics {
   std::uint64_t checkpoints_caught_up = 0;
   std::uint64_t checkpoints_skipped = 0;
 
+  // Vote quorums whose optimistic combine failed, so the leader checked
+  // the buffered shares one by one.
+  std::uint64_t vote_combine_fallbacks = 0;
+
   // View-change (Fig. 13).
   std::uint32_t view_changes_completed = 0;
   sim::SimTime vc_triggered_at = -1;

@@ -31,7 +31,8 @@ LeopardReplica::LeopardReplica(LeopardConfig cfg, const crypto::ThresholdScheme&
       // GF(2^8) Reed-Solomon caps at 255 shards (the paper's Go library has
       // the same 256 limit): beyond n = 255 only the first 255 replicas serve
       // chunks, which still leaves >= f+1 potential responders up to n = 763.
-      rs_(cfg.f() + 1, std::min<std::uint32_t>(cfg.n, 255)) {
+      rs_(cfg.f() + 1, std::min<std::uint32_t>(cfg.n, 255)),
+      collector_(ts) {
   util::expects(cfg_.n >= 4, "Leopard requires n >= 4 (f >= 1)");
   util::expects(id_ < cfg_.n, "replica id out of range");
 }
@@ -118,7 +119,10 @@ void LeopardReplica::do_timer(protocol::TimerToken token) {
 }
 
 void LeopardReplica::do_message(protocol::NodeId from, const sim::PayloadPtr& msg) {
-  if (crashed()) return;
+  // A replica never messages itself (Broadcast skips self, and its own
+  // votes and checkpoint share are handled locally), so a message claiming
+  // to come from this replica is forged.
+  if (crashed() || from == id_) return;
 
   if (auto db = std::dynamic_pointer_cast<const proto::DatablockMsg>(msg)) {
     handle_datablock(static_cast<ReplicaId>(from), db);
@@ -417,11 +421,8 @@ void LeopardReplica::leader_install_proposal(const proto::BftBlockMsg& msg) {
   inst.sigma2.reset();
   inst.missing.clear();
   inst.votes1.clear();
-  inst.voters1.clear();
   inst.votes2.clear();
-  inst.voters2.clear();
-  inst.votes1.push_back(msg.leader_share);
-  inst.voters1.insert(id_);
+  collect_vote(inst.votes1, inst.digest, id_, msg.leader_share);
   sn_by_digest_[inst.digest] = msg.block.sn;
 }
 
@@ -471,9 +472,7 @@ void LeopardReplica::handle_bftblock(ReplicaId from, const proto::BftBlockMsg& m
     inst.sigma1.reset();
     inst.sigma2.reset();
     inst.votes1.clear();
-    inst.voters1.clear();
     inst.votes2.clear();
-    inst.voters2.clear();
     inst.missing.clear();
   }
 
@@ -524,46 +523,32 @@ void LeopardReplica::handle_vote(ReplicaId from, const proto::VoteMsg& msg) {
   auto* inst = instance_by_digest(msg.block_digest);
   if (inst == nullptr || inst->proposed_view != view_) return;
 
-  charge(costs().share_verify);
-  if (msg.round == 1) {
-    if (inst->notarized || inst->voters1.contains(from)) return;
-    if (!ts_.verify_share(inst->digest, msg.share) || msg.share.signer != from) return;
-    inst->voters1.insert(from);
-    inst->votes1.push_back(msg.share);
-    if (inst->votes1.size() >= cfg_.quorum()) {
-      charge(costs().combine_base +
-             costs().combine_per_share * static_cast<sim::SimTime>(cfg_.quorum()));
-      const auto sigma1 = ts_.combine(inst->digest, inst->votes1);
-      util::ensures(sigma1.has_value(), "combine must succeed with a verified quorum");
-      inst->sigma1 = *sigma1;
+  // One path for both rounds; any round other than 1 is round 2.
+  const bool round1 = msg.round == 1;
+  if (round1 ? inst->notarized : (inst->confirmed || !inst->notarized)) return;
+  const auto sigma = collect_vote(round1 ? inst->votes1 : inst->votes2,
+                                  round1 ? inst->digest : inst->sigma1_digest, from, msg.share);
+  if (!sigma) return;
+  (round1 ? inst->sigma1 : inst->sigma2) = *sigma;
 
-      auto proof = std::make_shared<proto::ProofMsg>();
-      proof->round = 1;
-      proof->block_digest = inst->digest;
-      proof->signature = *sigma1;
-      multicast_to_replicas(std::move(proof));
-      on_notarized(inst->block.sn);
-    }
+  auto proof = std::make_shared<proto::ProofMsg>();
+  proof->round = round1 ? 1 : 2;
+  proof->block_digest = inst->digest;
+  proof->signature = *sigma;
+  multicast_to_replicas(std::move(proof));
+  if (round1) {
+    on_notarized(inst->block.sn);
   } else {
-    if (inst->confirmed || !inst->notarized || inst->voters2.contains(from)) return;
-    if (!ts_.verify_share(inst->sigma1_digest, msg.share) || msg.share.signer != from) return;
-    inst->voters2.insert(from);
-    inst->votes2.push_back(msg.share);
-    if (inst->votes2.size() >= cfg_.quorum()) {
-      charge(costs().combine_base +
-             costs().combine_per_share * static_cast<sim::SimTime>(cfg_.quorum()));
-      const auto sigma2 = ts_.combine(inst->sigma1_digest, inst->votes2);
-      util::ensures(sigma2.has_value(), "combine must succeed with a verified quorum");
-      inst->sigma2 = *sigma2;
-
-      auto proof = std::make_shared<proto::ProofMsg>();
-      proof->round = 2;
-      proof->block_digest = inst->digest;
-      proof->signature = *sigma2;
-      multicast_to_replicas(std::move(proof));
-      on_confirmed(inst->block.sn);
-    }
+    on_confirmed(inst->block.sn);
   }
+}
+
+std::optional<crypto::ThresholdSignature> LeopardReplica::collect_vote(
+    QuorumShares& q, const Digest& message, ReplicaId from, const crypto::SignatureShare& share) {
+  const auto out = collector_.add(q, message, from, share, costs());
+  if (out.cpu > 0) charge(out.cpu);
+  if (out.fell_back) env().metric(Metric::kVoteCombineFallback, 1);
+  return out.signature;
 }
 
 void LeopardReplica::handle_proof(ReplicaId from, const proto::ProofMsg& msg) {
@@ -596,8 +581,7 @@ void LeopardReplica::on_notarized(SeqNum sn) {
     if (!inst.voted2) {
       inst.voted2 = true;
       charge(costs().share_sign);
-      inst.voters2.insert(id_);
-      inst.votes2.push_back(ts_.sign_share(id_, inst.sigma1_digest));
+      collect_vote(inst.votes2, inst.sigma1_digest, id_, ts_.sign_share(id_, inst.sigma1_digest));
     }
     return;
   }
@@ -709,16 +693,20 @@ void LeopardReplica::execute_block(Instance& inst) {
   inst.executed = true;
 }
 
+Digest LeopardReplica::checkpoint_digest(SeqNum sn, const Digest& state) {
+  util::ByteWriter w;
+  w.str("leopard.checkpoint");
+  w.u64(sn);
+  w.raw(state.bytes());
+  return Digest::of(w.bytes());
+}
+
 void LeopardReplica::maybe_checkpoint() {
   const auto interval = cfg_.checkpoint_interval();
   if (interval == 0 || exec_sn_ == 0 || exec_sn_ % interval != 0) return;
   if (in_view_change_ || exec_sn_ <= lw_) return;  // already stable
 
-  util::ByteWriter w;
-  w.str("leopard.checkpoint");
-  w.u64(exec_sn_);
-  w.raw(state_digest_.bytes());
-  const auto cp_digest = Digest::of(w.bytes());
+  const auto cp_digest = checkpoint_digest(exec_sn_, state_digest_);
 
   charge(costs().share_sign);
   auto msg = std::make_shared<proto::CheckpointMsg>();
@@ -735,11 +723,7 @@ void LeopardReplica::maybe_checkpoint() {
 }
 
 void LeopardReplica::handle_checkpoint(ReplicaId from, const proto::CheckpointMsg& msg) {
-  util::ByteWriter w;
-  w.str("leopard.checkpoint");
-  w.u64(msg.sn);
-  w.raw(msg.state.bytes());
-  const auto cp_digest = Digest::of(w.bytes());
+  const auto cp_digest = checkpoint_digest(msg.sn, msg.state);
 
   if (msg.signature.has_value()) {
     // Combined checkpoint proof from the leader.
@@ -749,40 +733,27 @@ void LeopardReplica::handle_checkpoint(ReplicaId from, const proto::CheckpointMs
     return;
   }
 
-  // Checkpoint vote: only the leader aggregates.
+  // Checkpoint vote: only the leader aggregates, per (sn, state).
   if (leader_of(view_) != id_ || !msg.share.has_value()) return;
   if (msg.sn <= lw_) return;
-  charge(costs().share_verify);
-  if (!ts_.verify_share(cp_digest, *msg.share) || msg.share->signer != from) return;
+  const auto sigma =
+      collect_vote(checkpoint_votes_[{msg.sn, msg.state}], cp_digest, from, *msg.share);
+  if (!sigma) return;
 
-  auto& voters = checkpoint_voters_[msg.sn];
-  if (!voters.insert(from).second) return;
-  checkpoint_votes_[msg.sn].push_back(*msg.share);
-  checkpoint_states_[msg.sn] = msg.state;
-
-  if (voters.size() >= cfg_.quorum()) {
-    charge(costs().combine_base +
-           costs().combine_per_share * static_cast<sim::SimTime>(cfg_.quorum()));
-    const auto sigma = ts_.combine(cp_digest, checkpoint_votes_[msg.sn]);
-    util::ensures(sigma.has_value(), "checkpoint combine must succeed");
-
-    auto proof = std::make_shared<proto::CheckpointMsg>();
-    proof->sn = msg.sn;
-    proof->state = msg.state;
-    proof->signature = *sigma;
-    multicast_to_replicas(std::move(proof));
-
-    checkpoint_votes_.erase(msg.sn);
-    checkpoint_voters_.erase(msg.sn);
-    checkpoint_states_.erase(msg.sn);
-    adopt_checkpoint(msg.sn, msg.state, *sigma);
-  }
+  auto proof = std::make_shared<proto::CheckpointMsg>();
+  proof->sn = msg.sn;
+  proof->state = msg.state;
+  proof->signature = *sigma;
+  multicast_to_replicas(std::move(proof));
+  adopt_checkpoint(msg.sn, msg.state, *sigma);
 }
 
 void LeopardReplica::adopt_checkpoint(SeqNum sn, const Digest& state,
                                       const crypto::ThresholdSignature& proof) {
   if (sn <= lw_) return;
   lw_ = sn;
+  checkpoint_votes_.erase(checkpoint_votes_.begin(),
+                          checkpoint_votes_.lower_bound({sn + 1, Digest{}}));
   checkpoint_state_ = state;
   checkpoint_proof_ = proof;
 
@@ -1146,6 +1117,7 @@ void LeopardReplica::handle_new_view(ReplicaId from, const proto::NewViewMsg& ms
 
 void LeopardReplica::adopt_new_view(const proto::NewViewMsg& msg) {
   view_ = msg.new_view;
+  collector_.new_view();
   in_view_change_ = false;
   timeout_sent_ = false;
   if (vc_escalation_token_ != 0) {

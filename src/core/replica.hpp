@@ -26,6 +26,7 @@
 
 #include "core/byzantine.hpp"
 #include "core/config.hpp"
+#include "core/quorum_collector.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/threshold_sig.hpp"
 #include "erasure/reed_solomon.hpp"
@@ -41,6 +42,10 @@ class LeopardReplica final : public protocol::ProtocolBase {
 
   // -- protocol::Protocol ----------------------------------------------------
   [[nodiscard]] proto::ReplicaId id() const override { return id_; }
+
+  /// The message a checkpoint share or proof at `sn` on `state` signs.
+  [[nodiscard]] static crypto::Digest checkpoint_digest(proto::SeqNum sn,
+                                                        const crypto::Digest& state);
 
   /// Application hook: invoked once per request, in the total order the
   /// protocol commits (BFTblock serial number, then link order, then request
@@ -144,8 +149,7 @@ class LeopardReplica final : public protocol::ProtocolBase {
     std::optional<crypto::ThresholdSignature> sigma2;  // confirmation proof
     std::set<crypto::Digest> missing;                  // links awaiting retrieval
     // Leader-side vote collection.
-    std::vector<crypto::SignatureShare> votes1, votes2;
-    std::set<proto::ReplicaId> voters1, voters2;
+    QuorumShares votes1, votes2;
   };
 
   struct Retrieval {
@@ -194,6 +198,12 @@ class LeopardReplica final : public protocol::ProtocolBase {
   [[nodiscard]] bool verify_bftblock(const proto::BftBlockMsg& msg);
   void try_vote_round1(proto::SeqNum sn);
   void send_vote(std::uint8_t round, const Instance& inst);
+  /// Leader: adds a vote share through collector_, charges its cost, and
+  /// returns the certificate once the quorum combines.
+  std::optional<crypto::ThresholdSignature> collect_vote(QuorumShares& q,
+                                                         const crypto::Digest& message,
+                                                         proto::ReplicaId from,
+                                                         const crypto::SignatureShare& share);
   void on_notarized(proto::SeqNum sn);
   void on_confirmed(proto::SeqNum sn);
   void execute_ready_blocks();
@@ -298,10 +308,9 @@ class LeopardReplica final : public protocol::ProtocolBase {
   std::uint64_t timer_seq_ = 0;  // unique-token allocator
   std::set<std::pair<crypto::Digest, proto::ReplicaId>> responded_once_;
 
-  // Checkpoint votes (leader).
-  std::unordered_map<proto::SeqNum, std::vector<crypto::SignatureShare>> checkpoint_votes_;
-  std::unordered_map<proto::SeqNum, std::set<proto::ReplicaId>> checkpoint_voters_;
-  std::unordered_map<proto::SeqNum, crypto::Digest> checkpoint_states_;
+  // Leader-side vote aggregation, and checkpoint votes keyed by (sn, state).
+  QuorumCollector collector_;
+  std::map<std::pair<proto::SeqNum, crypto::Digest>, QuorumShares> checkpoint_votes_;
 
   // View-change state.
   std::unordered_map<proto::View, std::set<proto::ReplicaId>> timeout_votes_;

@@ -44,7 +44,11 @@ double leopard_capacity(const ExperimentConfig& cfg, const sim::CostModel& c) {
                         static_cast<double>(c.client_request_ingress) / (n - 1.0);
   // Leader extra: per-agreement-instance vote processing and proof/proposal
   // multicasts, amortized over the τ·α requests each BFTblock covers. This
-  // is what makes tiny BFTblocks expensive at large n (Fig. 7).
+  // is what makes tiny BFTblocks expensive at large n (Fig. 7). The leader
+  // no longer checks vote shares one by one (core::QuorumCollector), yet the
+  // term still charges share_verify per vote: without it the estimate rises
+  // by up to 45% at small α or τ, and the auto-saturated load above it
+  // drives those points into the overload collapse (ROADMAP item 1).
   const double quorum = 2.0 * std::floor((n - 1.0) / 3.0) + 1.0;
   const double per_block_ns =
       2.0 * (n - 1.0) *

@@ -959,6 +959,9 @@ void SocketEnv::register_observability(obs::Registry& registry) {
   core_counter("leopard_checkpoint_adoptions_total",
                "Stable checkpoints adopted: executed through, or skipped to", "kind=\"skipped\"",
                &metrics_.checkpoints_skipped);
+  core_counter("leopard_vote_combine_fallbacks_total",
+               "Vote quorums whose combined signature failed, then checked share by share", {},
+               &metrics_.vote_combine_fallbacks);
   registry.gauge_fn("leopard_safety_violation",
                     "1 if this node ever observed conflicting confirmations", {},
                     [this] { return metrics_.safety_violation ? 1.0 : 0.0; });

@@ -100,6 +100,9 @@ enum class Metric : std::uint8_t {
   // range it still can), or skipped to the certified state.
   kCheckpointCaughtUp,
   kCheckpointSkipped,
+  // A leader's optimistic vote combine failed and it checked the buffered
+  // shares one by one (core::QuorumCollector).
+  kVoteCombineFallback,
 };
 
 /// Point-to-point send to `to`.

@@ -70,6 +70,9 @@ void apply_metrics_update(core::ProtocolMetrics& metrics, const MetricsUpdate& u
     case Metric::kCheckpointSkipped:
       ++metrics.checkpoints_skipped;
       break;
+    case Metric::kVoteCombineFallback:
+      ++metrics.vote_combine_fallbacks;
+      break;
   }
 }
 

@@ -8,7 +8,13 @@
 //  - per-request handling models request parsing, dedup, mempool/pool
 //    bookkeeping (the dominant per-request work in the paper's Go prototype);
 //  - threshold-crypto costs model BLS share sign/verify/aggregate, which the
-//    substituted keyed-hash scheme does not itself exhibit.
+//    substituted keyed-hash scheme does not itself exhibit. The Leopard
+//    leader aggregates votes optimistically (core::QuorumCollector): each
+//    quorum costs combine_base + combine_per_share·q + combined_verify, and
+//    share_verify is charged on a vote only when that combine failed or its
+//    signer is a suspect. The HotStuff baseline charges share_verify on
+//    every vote, and so, for now, does the Leopard capacity estimate in
+//    src/harness/experiment.cpp (it says why).
 #pragma once
 
 #include "sim/time.hpp"

@@ -197,8 +197,11 @@ void expect_cluster_commits(const std::string& protocol) {
     EXPECT_EQ(reports[id].at("io_threads"), "1") << "replica " << id;
     if (protocol == "leopard") {
       EXPECT_EQ(reports[id].at("state_digest"), reports[0].at("state_digest"));
-      // A quiet run never skips a checkpointed range.
+      // A quiet run never skips a checkpointed range, and every optimistic
+      // vote combine succeeds.
       EXPECT_EQ(reports[id].at("leopard_checkpoint_adoptions_total{kind:skipped}"), "0")
+          << "replica " << id;
+      EXPECT_EQ(reports[id].at("leopard_vote_combine_fallbacks_total"), "0")
           << "replica " << id;
       for (const char* trigger : {"full", "idle", "timer"}) {
         proposals += std::stoull(
