@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "crypto/merkle.hpp"
 #include "util/check.hpp"
@@ -83,8 +84,6 @@ void LeopardReplica::unmark_confirmed(SeqNum sn) { confirmed_log_.erase(sn); }
 
 void LeopardReplica::do_start() {
   last_progress_at_ = now();
-  datablock_flush_tick();
-  proposal_flush_tick();
   progress_tick();
 }
 
@@ -96,10 +95,10 @@ void LeopardReplica::do_client_request(protocol::NodeId, const proto::ClientRequ
 void LeopardReplica::do_timer(protocol::TimerToken token) {
   switch (static_cast<TimerKind>(token & 7)) {
     case TimerKind::kDatablockFlush:
-      datablock_flush_tick();
+      datablock_flush_fire();
       break;
     case TimerKind::kProposalFlush:
-      proposal_flush_tick();
+      maybe_propose(std::exchange(proposal_flush_at_, -1));
       break;
     case TimerKind::kProgress:
       progress_tick();
@@ -123,29 +122,62 @@ void LeopardReplica::do_message(protocol::NodeId from, const sim::PayloadPtr& ms
   // votes and checkpoint share are handled locally), so a message claiming
   // to come from this replica is forged.
   if (crashed() || from == id_) return;
+  const auto sender = static_cast<ReplicaId>(from);
 
-  if (auto db = std::dynamic_pointer_cast<const proto::DatablockMsg>(msg)) {
-    handle_datablock(static_cast<ReplicaId>(from), db);
-  } else if (auto rd = std::dynamic_pointer_cast<const proto::ReadyMsg>(msg)) {
-    handle_ready(static_cast<ReplicaId>(from), *rd);
-  } else if (auto bb = std::dynamic_pointer_cast<const proto::BftBlockMsg>(msg)) {
-    handle_bftblock(static_cast<ReplicaId>(from), *bb);
-  } else if (auto v = std::dynamic_pointer_cast<const proto::VoteMsg>(msg)) {
-    handle_vote(static_cast<ReplicaId>(from), *v);
-  } else if (auto p = std::dynamic_pointer_cast<const proto::ProofMsg>(msg)) {
-    handle_proof(static_cast<ReplicaId>(from), *p);
-  } else if (auto q = std::dynamic_pointer_cast<const proto::QueryMsg>(msg)) {
-    handle_query(static_cast<ReplicaId>(from), *q);
-  } else if (auto c = std::dynamic_pointer_cast<const proto::ChunkResponseMsg>(msg)) {
-    handle_chunk(static_cast<ReplicaId>(from), c);
-  } else if (auto cp = std::dynamic_pointer_cast<const proto::CheckpointMsg>(msg)) {
-    handle_checkpoint(static_cast<ReplicaId>(from), *cp);
-  } else if (auto t = std::dynamic_pointer_cast<const proto::TimeoutMsg>(msg)) {
-    handle_timeout(static_cast<ReplicaId>(from), *t);
-  } else if (auto vc = std::dynamic_pointer_cast<const proto::ViewChangeMsg>(msg)) {
-    handle_view_change(static_cast<ReplicaId>(from), vc);
-  } else if (auto nv = std::dynamic_pointer_cast<const proto::NewViewMsg>(msg)) {
-    handle_new_view(static_cast<ReplicaId>(from), *nv);
+  // The component names the one type worth trying, so each message costs
+  // one checked cast. The baselines' messages share some components and
+  // fail it.
+  using sim::Component;
+  switch (msg->component()) {
+    case Component::kDatablock:
+      if (auto db = std::dynamic_pointer_cast<const proto::DatablockMsg>(msg)) {
+        handle_datablock(sender, std::move(db));
+      }
+      break;
+    case Component::kReady:
+      if (const auto* m = dynamic_cast<const proto::ReadyMsg*>(msg.get())) handle_ready(sender, *m);
+      break;
+    case Component::kBftBlock:
+      if (const auto* m = dynamic_cast<const proto::BftBlockMsg*>(msg.get())) {
+        handle_bftblock(sender, *m);
+      }
+      break;
+    case Component::kVote:
+      if (const auto* m = dynamic_cast<const proto::VoteMsg*>(msg.get())) handle_vote(sender, *m);
+      break;
+    case Component::kProof:
+      if (const auto* m = dynamic_cast<const proto::ProofMsg*>(msg.get())) handle_proof(sender, *m);
+      break;
+    case Component::kQuery:
+      if (const auto* m = dynamic_cast<const proto::QueryMsg*>(msg.get())) handle_query(sender, *m);
+      break;
+    case Component::kChunkResponse:
+      if (auto c = std::dynamic_pointer_cast<const proto::ChunkResponseMsg>(msg)) {
+        handle_chunk(sender, std::move(c));
+      }
+      break;
+    case Component::kCheckpoint:
+      if (const auto* m = dynamic_cast<const proto::CheckpointMsg*>(msg.get())) {
+        handle_checkpoint(sender, *m);
+      }
+      break;
+    case Component::kTimeout:
+      if (const auto* m = dynamic_cast<const proto::TimeoutMsg*>(msg.get())) {
+        handle_timeout(sender, *m);
+      }
+      break;
+    case Component::kViewChange:
+      if (auto vc = std::dynamic_pointer_cast<const proto::ViewChangeMsg>(msg)) {
+        handle_view_change(sender, std::move(vc));
+      }
+      break;
+    case Component::kNewView:
+      if (const auto* m = dynamic_cast<const proto::NewViewMsg*>(msg.get())) {
+        handle_new_view(sender, *m);
+      }
+      break;
+    default:
+      break;
   }
 }
 
@@ -154,6 +186,7 @@ void LeopardReplica::do_message(protocol::NodeId from, const sim::PayloadPtr& ms
 // ---------------------------------------------------------------------------
 
 void LeopardReplica::handle_client_request(const proto::ClientRequestMsg& msg) {
+  const bool was_empty = mempool_.empty();
   sim::SimTime cost = 0;
   for (const auto& req : msg.requests) {
     if (mempool_.size() >= cfg_.mempool_capacity) {
@@ -168,6 +201,7 @@ void LeopardReplica::handle_client_request(const proto::ClientRequestMsg& msg) {
   }
   charge(cost);
   maybe_generate_datablocks();
+  if (was_empty) arm_datablock_flush();
 }
 
 void LeopardReplica::maybe_generate_datablocks() {
@@ -236,8 +270,7 @@ void LeopardReplica::accept_datablock(const std::shared_ptr<const proto::Datablo
   if (pool_.contains(digest)) return;
 
   // Per-maker counter dedup (rate-limit / flooding defence, Algorithm 1).
-  auto& counters = seen_counters_[msg->datablock.maker];
-  if (!counters.insert(msg->datablock.counter).second &&
+  if (!seen_counters_[msg->datablock.maker].insert(msg->datablock.counter) &&
       msg->datablock.maker != id_) {
     return;  // duplicate counter from this maker: reject
   }
@@ -291,13 +324,22 @@ void LeopardReplica::accept_datablock(const std::shared_ptr<const proto::Datablo
   }
 }
 
-void LeopardReplica::datablock_flush_tick() {
-  if (!crashed() && !mempool_.empty() &&
-      now() - mempool_enqueued_.front() >= cfg_.datablock_max_wait) {
+void LeopardReplica::arm_datablock_flush() {
+  if (mempool_.empty()) return;
+  datablock_flush_at_ = mempool_enqueued_.front() + cfg_.datablock_max_wait;
+  env().set_timer(token_of(TimerKind::kDatablockFlush), datablock_flush_at_ - now());
+}
+
+void LeopardReplica::datablock_flush_fire() {
+  const auto fired = std::exchange(datablock_flush_at_, -1);
+  if (crashed() || mempool_.empty()) return;
+  // The deadline the timer was armed for counts as reached (a timer wheel
+  // may fire up to a tick early). A timer armed for a request that a full
+  // datablock has since taken finds a later oldest request, and re-arms.
+  if (mempool_enqueued_.front() + cfg_.datablock_max_wait <= fired) {
     generate_datablock(std::min<std::size_t>(mempool_.size(), cfg_.datablock_requests));
   }
-  env().set_timer(token_of(TimerKind::kDatablockFlush),
-                  std::max<sim::SimTime>(cfg_.datablock_max_wait / 4, sim::kMillisecond));
+  arm_datablock_flush();
 }
 
 // ---------------------------------------------------------------------------
@@ -330,38 +372,37 @@ void LeopardReplica::leader_promote_if_ready(const Digest& digest) {
   maybe_propose();
 }
 
-bool LeopardReplica::pipeline_idle() const {
-  return std::none_of(instances_.begin(), instances_.end(), [this](const auto& entry) {
-    const Instance& inst = entry.second;
-    return inst.have_block && inst.proposed_view == view_ && !inst.confirmed;
-  });
+bool LeopardReplica::awaits_confirmation(const Instance& inst) const {
+  return inst.have_block && inst.proposed_view == view_ && !inst.confirmed;
 }
 
-void LeopardReplica::maybe_propose() {
+void LeopardReplica::maybe_propose(sim::SimTime fired) {
   if (leader_of(view_) != id_ || in_view_change_ || crashed()) return;
   // A full batch of τ links goes out at once. So does a partial one while
   // no proposal of this view awaits confirmation: batching only spreads the
   // per-block cost when the leader is busy, and on an idle pipeline it would
-  // add proposal_max_wait to every request. on_confirmed re-checks.
+  // add proposal_max_wait to every request. on_confirmed re-checks. Else a
+  // partial batch waits until its oldest link has waited proposal_max_wait.
+  const auto deadline = [this] { return oldest_ready_at_ + cfg_.proposal_max_wait; };
+  const auto due = [&] { return deadline() <= now() || deadline() <= fired; };
   while (next_sn_ <= lw_ + cfg_.max_parallel_instances && !ready_queue_.empty()) {
     if (ready_queue_.size() >= cfg_.bftblock_links) {
       propose_ready(Metric::kProposalFull);
-    } else if (pipeline_idle()) {
+    } else if (unconfirmed_proposals_ == 0) {
       propose_ready(Metric::kProposalIdle);
+    } else if (due()) {
+      propose_ready(Metric::kProposalTimer);
     } else {
-      return;
+      break;
     }
   }
-}
-
-void LeopardReplica::proposal_flush_tick() {
-  if (!crashed() && leader_of(view_) == id_ && !in_view_change_ && !ready_queue_.empty() &&
-      next_sn_ <= lw_ + cfg_.max_parallel_instances &&
-      now() - oldest_ready_at_ >= cfg_.proposal_max_wait) {
-    propose_ready(Metric::kProposalTimer);
+  // Keep the flush timer on the oldest ready link's deadline. A batch that
+  // is due but unproposed waits for the watermark window: adopt_checkpoint
+  // calls back here when it opens.
+  if (!ready_queue_.empty() && !due() && deadline() != proposal_flush_at_) {
+    proposal_flush_at_ = deadline();
+    env().set_timer(token_of(TimerKind::kProposalFlush), proposal_flush_at_ - now());
   }
-  env().set_timer(token_of(TimerKind::kProposalFlush),
-                  std::max<sim::SimTime>(cfg_.proposal_max_wait / 4, sim::kMillisecond));
 }
 
 void LeopardReplica::propose_ready(Metric trigger) {
@@ -406,6 +447,7 @@ void LeopardReplica::propose_block(SeqNum sn, std::vector<Digest> links) {
 
 void LeopardReplica::leader_install_proposal(const proto::BftBlockMsg& msg) {
   auto& inst = instances_[msg.block.sn];
+  if (!awaits_confirmation(inst)) ++unconfirmed_proposals_;
   if (inst.have_block) sn_by_digest_.erase(inst.digest);  // view-change redo
   inst.block = msg.block;
   inst.digest = msg.cached_digest;
@@ -455,6 +497,7 @@ void LeopardReplica::handle_bftblock(ReplicaId from, const proto::BftBlockMsg& m
 
   auto& inst = instances_[msg.block.sn];
   if (inst.have_block && inst.digest == msg.cached_digest) return;  // duplicate
+  const bool awaited = awaits_confirmation(inst);
 
   if (inst.have_block && inst.proposed_view < msg.block.view) {
     // Redo after a view-change: same sn re-proposed under the new view. The
@@ -482,6 +525,7 @@ void LeopardReplica::handle_bftblock(ReplicaId from, const proto::BftBlockMsg& m
   inst.received_at = now();
   inst.have_block = true;
   sn_by_digest_[inst.digest] = msg.block.sn;
+  if (!awaited && awaits_confirmation(inst)) ++unconfirmed_proposals_;
 
   if (!byz_.vote_blindly) {
     for (const auto& link : inst.block.links) {
@@ -593,6 +637,7 @@ void LeopardReplica::on_notarized(SeqNum sn) {
 
 void LeopardReplica::on_confirmed(SeqNum sn) {
   auto& inst = instances_.at(sn);
+  if (awaits_confirmation(inst)) --unconfirmed_proposals_;
   inst.confirmed = true;
   mark_confirmed(sn, inst.digest);
   last_progress_at_ = now();
@@ -792,6 +837,7 @@ void LeopardReplica::adopt_checkpoint(SeqNum sn, const Digest& state,
       }
       sn_by_digest_.erase(it->second.digest);
       unmark_confirmed(it->first);
+      if (awaits_confirmation(it->second)) --unconfirmed_proposals_;
       it = instances_.erase(it);
     }
     execute_ready_blocks();  // confirmed instances beyond sn may now unblock
@@ -822,6 +868,7 @@ void LeopardReplica::garbage_collect(SeqNum through_sn) {
     }
     sn_by_digest_.erase(inst.digest);
     unmark_confirmed(sn);
+    if (awaits_confirmation(inst)) --unconfirmed_proposals_;
     it = instances_.erase(it);
   }
 }
@@ -1117,6 +1164,9 @@ void LeopardReplica::handle_new_view(ReplicaId from, const proto::NewViewMsg& ms
 
 void LeopardReplica::adopt_new_view(const proto::NewViewMsg& msg) {
   view_ = msg.new_view;
+  unconfirmed_proposals_ = static_cast<std::size_t>(
+      std::count_if(instances_.begin(), instances_.end(),
+                    [this](const auto& entry) { return awaits_confirmation(entry.second); }));
   collector_.new_view();
   in_view_change_ = false;
   timeout_sent_ = false;

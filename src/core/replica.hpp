@@ -26,6 +26,7 @@
 
 #include "core/byzantine.hpp"
 #include "core/config.hpp"
+#include "core/counter_window.hpp"
 #include "core/quorum_collector.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/threshold_sig.hpp"
@@ -179,19 +180,29 @@ class LeopardReplica final : public protocol::ProtocolBase {
   void maybe_generate_datablocks();
   void generate_datablock(std::size_t request_count);
   void accept_datablock(const std::shared_ptr<const proto::DatablockMsg>& msg, bool recovered);
-  void datablock_flush_tick();
+  /// Arms kDatablockFlush for the oldest pooled request's deadline
+  /// (enqueued + datablock_max_wait); a no-op on an empty mempool.
+  void arm_datablock_flush();
+  /// kDatablockFlush: flushes a partial datablock if its oldest request is
+  /// due, then re-arms for the oldest one left.
+  void datablock_flush_fire();
 
   // -- Leader: ready round and proposals (Algorithms 2, 3) -------------------
   void leader_note_ready(proto::ReplicaId from, const crypto::Digest& digest);
   void leader_promote_if_ready(const crypto::Digest& digest);
-  /// True when no instance proposed in the current view awaits confirmation.
-  [[nodiscard]] bool pipeline_idle() const;
-  void maybe_propose();
+  /// An instance proposed in the current view and not yet confirmed;
+  /// unconfirmed_proposals_ counts them.
+  [[nodiscard]] bool awaits_confirmation(const Instance& inst) const;
+  /// Proposes what the batching rules allow and keeps kProposalFlush armed
+  /// for the oldest ready link's deadline (oldest_ready_at_ +
+  /// proposal_max_wait). The kProposalFlush handler passes the deadline the
+  /// timer was armed for as `fired`; it counts as reached (a timer wheel may
+  /// fire up to a tick early).
+  void maybe_propose(sim::SimTime fired = -1);
   /// Proposes up to τ links from the front of the ready queue; `trigger`
   /// (kProposalFull/Idle/Timer) counts why.
   void propose_ready(protocol::Metric trigger);
   void propose_block(proto::SeqNum sn, std::vector<crypto::Digest> links);
-  void proposal_flush_tick();
   void leader_install_proposal(const proto::BftBlockMsg& msg);
 
   // -- Voting ----------------------------------------------------------------
@@ -282,20 +293,23 @@ class LeopardReplica final : public protocol::ProtocolBase {
   std::deque<proto::Request> mempool_;
   std::deque<sim::SimTime> mempool_enqueued_;
   std::uint64_t datablock_counter_ = 1;
+  sim::SimTime datablock_flush_at_ = -1;  // deadline kDatablockFlush is armed for
   std::uint64_t shed_requests_ = 0;
 
   // Datablock storage.
   std::unordered_map<crypto::Digest, std::shared_ptr<const proto::DatablockMsg>> pool_;
-  std::unordered_map<proto::ReplicaId, std::unordered_set<std::uint64_t>> seen_counters_;
+  std::unordered_map<proto::ReplicaId, CounterWindow> seen_counters_;
 
   // Leader-side ready tracking.
   std::unordered_map<crypto::Digest, std::set<proto::ReplicaId>> ready_votes_;
   std::deque<crypto::Digest> ready_queue_;
   std::unordered_set<crypto::Digest> queued_or_linked_;
   sim::SimTime oldest_ready_at_ = 0;
+  sim::SimTime proposal_flush_at_ = -1;   // deadline kProposalFlush is armed for
 
   // Agreement instances.
   std::map<proto::SeqNum, Instance> instances_;
+  std::size_t unconfirmed_proposals_ = 0;  // instances awaiting confirmation
   std::unordered_map<crypto::Digest, proto::SeqNum> sn_by_digest_;
   std::unordered_map<crypto::Digest, std::vector<proto::SeqNum>> waiting_on_datablock_;
   // Maintained (sn → digest) snapshot of confirmed live instances, mirroring

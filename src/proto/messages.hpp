@@ -105,15 +105,20 @@ struct AckMsg final : sim::Payload {
   [[nodiscard]] sim::Component component() const override { return sim::Component::kAck; }
 };
 
-/// Datablock multicast (Algorithm 1 line 7).
+/// Datablock multicast (Algorithm 1 line 7). Its digest and wire size are
+/// computed once, at construction: nothing mutates a constructed datablock,
+/// and every send, receipt and hash charge asks for its size.
 struct DatablockMsg final : sim::Payload {
   Datablock datablock;
   crypto::Digest cached_digest;   // computed once by the maker
+  std::size_t cached_wire_size;
   sim::SimTime created_at = 0;    // simulation metadata (not on the wire)
 
   explicit DatablockMsg(Datablock db)
-      : datablock(std::move(db)), cached_digest(datablock.digest()) {}
-  [[nodiscard]] std::size_t wire_size() const override { return datablock.wire_size(); }
+      : datablock(std::move(db)),
+        cached_digest(datablock.digest()),
+        cached_wire_size(datablock.wire_size()) {}
+  [[nodiscard]] std::size_t wire_size() const override { return cached_wire_size; }
   [[nodiscard]] sim::Component component() const override {
     return sim::Component::kDatablock;
   }

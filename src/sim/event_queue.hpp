@@ -1,8 +1,8 @@
 // Deterministic discrete-event queue. Ties in time break by insertion
 // sequence so identical runs replay identically.
 //
-// The queue is the single hottest structure in a large-n run (every network
-// hop is two or three scheduled events), so it is built to make the
+// The queue is the single hottest structure in a large-n run (every
+// replica-to-replica hop is two scheduled events), so it is built to make the
 // per-event path allocation-free and cache-lean:
 //
 //   - callbacks live in EventCallback, a move-only function wrapper with

@@ -159,22 +159,15 @@ void Network::maybe_dispatch(NodeId to, std::uint32_t lane_idx) {
   auto& lane = states_[to].lanes[lane_idx];
   if (lane.dispatch_busy || inbox_empty(lane)) return;
   lane.dispatch_busy = true;
-  const SimTime at =
-      std::max({sim_.now(), inbox_slab_[lane.inbox_head].d.ready_at, lane.cpu_busy_until});
-  sim_.schedule_at(at, [this, to, lane_idx] { process_inbox_front(to, lane_idx); });
-}
-
-void Network::process_inbox_front(NodeId to, std::uint32_t lane_idx) {
-  auto& lane = states_[to].lanes[lane_idx];
   PendingDelivery d = inbox_pop(lane);
 
-  // Receiver CPU: deserialize + dispatch. Additional handler costs (crypto,
+  // Receiver CPU: deserialize + dispatch, reserved on the lane as soon as
+  // the message heads its inbox. Additional handler costs (crypto,
   // bookkeeping) are charged by the handler via charge_cpu and delay the
   // dispatch of everything still queued behind it on this lane.
   const SimTime cpu_cost =
       cfg_.costs.recv_per_msg + cfg_.costs.per_bytes(cfg_.costs.recv_per_byte_ns, d.size);
-  const SimTime start = std::max(sim_.now(), lane.cpu_busy_until);
-  lane.cpu_busy_until = start + cpu_cost;
+  lane.cpu_busy_until = std::max({sim_.now(), d.ready_at, lane.cpu_busy_until}) + cpu_cost;
 
   auto dispatch = [this, to, lane_idx, from = d.from, msg = std::move(d.msg)] {
     // Pin the lane so handler charges and sends bill the dispatching core.

@@ -7,6 +7,13 @@
 //   → propagation (+ adversarial pre-GST extra delay)
 //   → ingress NIC (size / in_bps) → receiver CPU → Node::on_message
 //
+// A lane dispatches one message at a time. When a message reaches the head
+// of its lane's inbox it reserves its receive-CPU slot at once, from
+// max(now, ingress done, lane busy-until), and its handler is one event at
+// the slot's end. Work charged on the lane after that (a timer's, a local
+// injection's) queues behind the reserved slot, even while the message's
+// ingress is still in flight.
+//
 // All queues are FIFO single-server timelines ("busy-until" clocks). With
 // shared-duplex NICs (the NetEm-throttled configuration of Fig. 10) egress
 // and ingress serialize on a single link timeline, matching §V's accounting
@@ -143,7 +150,7 @@ class Network {
     SimTime cpu_busy_until = 0;
     std::uint32_t inbox_head = kNilSlot;
     std::uint32_t inbox_tail = kNilSlot;
-    bool dispatch_busy = false;
+    bool dispatch_busy = false;  // a popped message's handler is scheduled
   };
 
   struct NodeState {
@@ -173,8 +180,9 @@ class Network {
   }
 
   void arrive(NodeId from, NodeId to, const PayloadPtr& msg, std::size_t size);
+  /// Pops the lane's inbox head (when no handler runs there), reserves its
+  /// receive CPU and schedules its handler: one heap event per receive.
   void maybe_dispatch(NodeId to, std::uint32_t lane_idx);
-  void process_inbox_front(NodeId to, std::uint32_t lane_idx);
   [[nodiscard]] SimTime extra_delay(NodeId from, NodeId to) const;
 
   Simulator& sim_;

@@ -8,8 +8,10 @@
 #include <variant>
 
 #include "cluster_fixture.hpp"
+#include "core/counter_window.hpp"
 #include "core/quorum_collector.hpp"
 #include "protocol/replay.hpp"
+#include "shard/sequencer.hpp"
 
 using namespace leopard;
 using test::logs_consistent;
@@ -259,6 +261,155 @@ TEST(LeopardProposals, BacklogKeepsBftblocksFull) {
   }
   ASSERT_GT(blocks.size(), 20u);
   EXPECT_GE(static_cast<double>(links) / static_cast<double>(blocks.size()), 0.9 * kTau);
+}
+
+namespace {
+/// Submits one request to replica `replica`'s core at simulated time `at`.
+void inject_at(harness::SimCluster& cluster, std::uint32_t replica, sim::SimTime at) {
+  cluster.sim().schedule_at(at, [&cluster, replica] {
+    proto::Request req;
+    req.client_id = shard::kNoopClientBase + replica;
+    req.seq = 1;
+    req.payload_size = 64;
+    cluster.node(replica).inject_local_request(0, std::move(req));
+  });
+}
+
+/// Each payload of type T a traced core sent (by Send or Broadcast), once,
+/// with the time of the step that sent it.
+template <typename T>
+std::vector<std::pair<sim::SimTime, const T*>> sent(const protocol::Trace& trace) {
+  std::vector<std::pair<sim::SimTime, const T*>> out;
+  for (const auto& step : trace.steps) {
+    for (const auto& a : step.actions) {
+      const sim::Payload* payload = nullptr;
+      if (const auto* s = std::get_if<protocol::Send>(&a)) payload = s->payload.get();
+      if (const auto* b = std::get_if<protocol::Broadcast>(&a)) payload = b->payload.get();
+      const auto* msg = dynamic_cast<const T*>(payload);
+      if (msg != nullptr && (out.empty() || out.back().second != msg)) out.emplace_back(step.at, msg);
+    }
+  }
+  return out;
+}
+
+/// small_opts with no clients and recorded traces: tests submit by inject_at.
+harness::SimClusterConfig scripted_opts() {
+  auto opts = small_opts();
+  opts.clients.clear();
+  opts.record = true;
+  return opts;
+}
+}  // namespace
+
+TEST(LeopardBatching, LoneRequestFlushesAtItsDeadline) {
+  // One request reaches replica 0 at 13.3 ms, off any fraction of the wait:
+  // its datablock closes exactly datablock_max_wait later.
+  auto opts = scripted_opts();
+  const auto wait = protocol_of(opts).datablock_max_wait;
+  harness::SimCluster cluster(opts);
+  const sim::SimTime at = 13300 * sim::kMicrosecond;
+  inject_at(cluster, 0, at);
+  cluster.run_for(1.0);
+
+  const auto made = sent<proto::DatablockMsg>(cluster.trace(0));
+  ASSERT_EQ(made.size(), 1u);
+  EXPECT_EQ(made[0].first, at + wait);
+  EXPECT_EQ(made[0].second->datablock.requests.size(), 1u);
+  EXPECT_EQ(cluster.replica(0).executed_request_count(), 1u);
+}
+
+TEST(LeopardBatching, MakersFlushOnTheirOwnPhase) {
+  // Replica 0's first request arrives 7 ms before replica 2's: their
+  // datablocks close 7 ms apart rather than on a shared tick.
+  auto opts = scripted_opts();
+  harness::SimCluster cluster(opts);
+  inject_at(cluster, 0, 20 * sim::kMillisecond);
+  inject_at(cluster, 2, 27 * sim::kMillisecond);
+  cluster.run_for(1.0);
+
+  const auto first = sent<proto::DatablockMsg>(cluster.trace(0));
+  const auto second = sent<proto::DatablockMsg>(cluster.trace(2));
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].first - first[0].first, 7 * sim::kMillisecond);
+}
+
+TEST(LeopardProposals, BusyPipelineProposesPartialBatchAtItsDeadline) {
+  // Replicas 2 and 3 withhold their votes, so the first BFTblock (replica
+  // 0's datablock, proposed on the idle pipeline) never confirms and the
+  // pipeline stays busy. Replica 2's datablock then becomes ready with the
+  // batch three links short of τ = 4: the leader (replica 1) proposes it
+  // exactly proposal_max_wait after its ready quorum.
+  auto opts = scripted_opts();
+  auto& protocol = protocol_of(opts);
+  protocol.bftblock_links = 4;
+  std::vector<core::ByzantineSpec> byz(4);
+  byz[2].withhold_votes = true;
+  byz[3].withhold_votes = true;
+  opts.mutate_spec = harness::byzantine_replicas(byz);
+  harness::SimCluster cluster(opts);
+  inject_at(cluster, 0, 10 * sim::kMillisecond);
+  inject_at(cluster, 2, 30 * sim::kMillisecond);
+  cluster.run_for(0.5);
+
+  const auto& leader = cluster.trace(1);
+  const auto proposals = sent<proto::BftBlockMsg>(leader);
+  ASSERT_EQ(proposals.size(), 2u);
+  ASSERT_EQ(proposals[1].second->block.links.size(), 1u);
+  const auto link = proposals[1].second->block.links[0];
+  // The link's ready quorum: the leader's own receipt of the datablock and
+  // the Ready messages naming it, in arrival order.
+  std::vector<sim::SimTime> holders;
+  for (const auto& step : leader.steps) {
+    const auto* in = std::get_if<protocol::MessageIn>(&step.event);
+    if (in == nullptr) continue;
+    const auto* db = dynamic_cast<const proto::DatablockMsg*>(in->payload.get());
+    const auto* ready = dynamic_cast<const proto::ReadyMsg*>(in->payload.get());
+    if ((db != nullptr && db->cached_digest == link) ||
+        (ready != nullptr && std::count(ready->datablock_hashes.begin(),
+                                        ready->datablock_hashes.end(), link) > 0)) {
+      holders.push_back(step.at);
+    }
+  }
+  ASSERT_GE(holders.size(), protocol.quorum());
+  EXPECT_EQ(proposals[1].first, holders[protocol.quorum() - 1] + protocol.proposal_max_wait);
+  EXPECT_EQ(cluster.metrics().proposals_idle, 1u);
+  EXPECT_EQ(cluster.metrics().proposals_timer, 1u);
+}
+
+TEST(CounterWindow, RejectsExactlyTheCountersSeenBefore) {
+  core::CounterWindow w;
+  // In order, only the floor moves.
+  for (std::uint64_t c = 1; c <= 100; ++c) EXPECT_TRUE(w.insert(c));
+  EXPECT_EQ(w.floor(), 101u);
+  EXPECT_EQ(w.held(), 0u);
+  // Duplicates below the floor.
+  EXPECT_FALSE(w.insert(1));
+  EXPECT_FALSE(w.insert(100));
+  // Out of order above the floor, with a gap at 101; then a duplicate there.
+  EXPECT_TRUE(w.insert(103));
+  EXPECT_TRUE(w.insert(102));
+  EXPECT_FALSE(w.insert(103));
+  EXPECT_EQ(w.floor(), 101u);
+  EXPECT_EQ(w.held(), 2u);
+  // The gap fills and the floor absorbs what was held.
+  EXPECT_TRUE(w.insert(101));
+  EXPECT_EQ(w.floor(), 104u);
+  EXPECT_EQ(w.held(), 0u);
+  EXPECT_FALSE(w.insert(102));
+  // Counter 0, which makers never use, is still accepted once.
+  EXPECT_TRUE(w.insert(0));
+  EXPECT_FALSE(w.insert(0));
+
+  // Any order: the same decisions as a set of every counter seen.
+  core::CounterWindow window;
+  std::set<std::uint64_t> seen;
+  std::uint64_t state = 99;
+  for (int i = 0; i < 5000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t c = i < 2500 ? (state >> 33) % 400 : i / 4 + (state >> 33) % 8;
+    EXPECT_EQ(window.insert(c), seen.insert(c).second) << "counter " << c;
+  }
 }
 
 namespace {

@@ -2,6 +2,7 @@
 // shared-duplex coupling, CPU queueing, GST delays, traffic accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -250,6 +251,64 @@ TEST(Network, ChargeCpuDelaysSubsequentDeliveries) {
   ASSERT_EQ(busy.times.size(), 2u);
   // Second delivery waits out the first handler's charged CPU time.
   EXPECT_GE(busy.times[1] - busy.times[0], 10 * ls::kMillisecond);
+}
+
+TEST(Network, HandlersWaitForIngressAndEarlierLaneWork) {
+  // A slow receiving NIC, a receive cost, handlers that charge CPU, and
+  // lane work charged outside dispatch (as a timer's is): no handler starts
+  // before its message's ingress ends or before the lane's earlier work
+  // ends, plus its receive cost, and the lane never idles past that point.
+  ls::Simulator sim;
+  auto cfg = fast_costs_config();
+  cfg.default_out_bps = 1e9;
+  cfg.default_in_bps = 1e6;
+  cfg.costs.recv_per_msg = 1 * ls::kMillisecond;
+  ls::Network net(sim, cfg);
+
+  const std::vector<std::size_t> sizes{100, 1000, 300, 50, 2000, 10};
+  const std::vector<ls::SimTime> charges{20 * ls::kMillisecond, 0, 0, 3 * ls::kMillisecond, 0,
+                                         0};
+  struct ChargingNode final : ls::Node {
+    ls::Network* net = nullptr;
+    ls::Simulator* sim = nullptr;
+    ls::NodeId self = 0;
+    const std::vector<ls::SimTime>* charges = nullptr;
+    std::vector<ls::SimTime> started;
+    void on_message(ls::NodeId, const ls::PayloadPtr&) override {
+      net->charge_cpu(self, (*charges)[started.size()]);
+      started.push_back(sim->now());
+    }
+  };
+  RecordingNode sender;
+  sender.sim = &sim;
+  ChargingNode rx;
+  rx.net = &net;
+  rx.sim = &sim;
+  rx.charges = &charges;
+  const auto from = net.add_node(&sender);
+  rx.self = net.add_node(&rx);
+
+  const ls::SimTime lane_work = 4 * ls::kMillisecond;
+  sim.schedule_at(0, [&] { net.charge_cpu(rx.self, lane_work); });
+  sim.schedule_at(0, [&] {
+    for (const auto size : sizes) net.send(from, rx.self, std::make_shared<TestPayload>(size));
+  });
+  sim.run_until(ls::kSecond);
+
+  ASSERT_EQ(rx.started.size(), sizes.size());
+  ls::SimTime departed = 0;
+  ls::SimTime ingress_end = 0;
+  ls::SimTime lane_free = lane_work;
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    departed += ls::transmission_delay(sizes[k], cfg.default_out_bps);
+    ingress_end = std::max(ingress_end, departed + cfg.propagation_delay) +
+                  ls::transmission_delay(sizes[k], cfg.default_in_bps);
+    EXPECT_GE(rx.started[k], ingress_end + cfg.costs.recv_per_msg) << "message " << k;
+    EXPECT_GE(rx.started[k], lane_free + cfg.costs.recv_per_msg) << "message " << k;
+    EXPECT_EQ(rx.started[k], std::max(ingress_end, lane_free) + cfg.costs.recv_per_msg)
+        << "message " << k;
+    lane_free = rx.started[k] + charges[k];
+  }
 }
 
 TEST(Network, PreGstDelayAppliesOnlyBeforeGst) {
